@@ -27,6 +27,7 @@ from .scenario import (
     scenario_hash,
 )
 from .system import (
+    N_COMMUNITIES,
     CommunityLoads,
     SystemConfig,
     assert_within_limits,
@@ -196,7 +197,6 @@ def _config_with_cli(args) -> RunConfig:
     if getattr(args, "mode", None):
         overrides["mode"] = args.mode
     if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
         overrides.setdefault("train", {})["seed"] = args.seed
     if getattr(args, "episodes", None) is not None:
         overrides.setdefault("train", {})["episodes"] = args.episodes
@@ -225,7 +225,7 @@ def cmd_train(args) -> int:
         cfg.reward,
         mode=cfg.mode,
         observation=cfg.observation,
-        dt=cfg.dt,
+        dt=cfg.system.price.dt,
     )
     if cfg.mode == "independent":
         result = L.train_independent(env, cfg.train)
@@ -254,7 +254,7 @@ def _evaluate_checkpoint(
         mode=ckpt.mode,
         observation=ckpt.observation,
         scales=ckpt.scales,
-        dt=cfg.dt,
+        dt=cfg.system.price.dt,
     )
     return L.greedy_rollout(env, ckpt.actors), ckpt
 
@@ -264,8 +264,8 @@ def cmd_evaluate(args) -> int:
     scenario = _resolve_scenario(cfg, args.scenario)
     records, ckpt = _evaluate_checkpoint(args.checkpoint, cfg, scenario)
     out = Path(args.out)
-    rows = write_schedule_csv(out / "schedule.csv", records, cfg.system, cfg.dt)
-    summary = summarize_rows(rows, cfg.dt)
+    rows = write_schedule_csv(out / "schedule.csv", records, cfg.system, cfg.system.price.dt)
+    summary = summarize_rows(rows, cfg.system.price.dt)
     summary["mode"] = ckpt.mode
     summary["config_hash"] = ckpt.config_hash
     summary["scenario_hash"] = scenario_hash(scenario)
@@ -283,8 +283,8 @@ def cmd_compare(args) -> int:
         raise CheckpointMismatch("checkpoints were trained under different system configurations")
     records_a, _ = _evaluate_checkpoint(args.checkpoint_a, cfg, scenario)
     records_b, _ = _evaluate_checkpoint(args.checkpoint_b, cfg, scenario)
-    summary_a = summarize_rows(schedule_rows(records_a), cfg.dt)
-    summary_b = summarize_rows(schedule_rows(records_b), cfg.dt)
+    summary_a = summarize_rows(schedule_rows(records_a), cfg.system.price.dt)
+    summary_b = summarize_rows(schedule_rows(records_b), cfg.system.price.dt)
     delta_total = summary_b["total_cost"] - summary_a["total_cost"]
     payload = {
         "a": {"checkpoint": args.checkpoint_a, "mode": ckpt_a.mode, **summary_a},
@@ -306,6 +306,7 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
+    dt = cfg.system.price.dt
     records = []
     infeasible_steps = []
     for t in range(scenario.p_load.shape[1]):
@@ -315,16 +316,16 @@ def cmd_oracle(args) -> int:
                 h_load=float(scenario.h_load[i, t]),
                 w_load=float(scenario.w_load[i, t]),
             )
-            for i in range(3)
+            for i in range(N_COMMUNITIES)
         ]
-        wind = [float(scenario.p_wind[i, t]) for i in range(3)]
-        step = oracle_dispatch(loads, wind, cfg.system, grid_n=args.grid_n, dt=cfg.dt)
+        wind = [float(scenario.p_wind[i, t]) for i in range(N_COMMUNITIES)]
+        step = oracle_dispatch(loads, wind, cfg.system, grid_n=args.grid_n, dt=dt)
         if not step.feasible:
             infeasible_steps.append(t)
         records.append(_oracle_record(step, loads, wind, cfg, t))
     out = Path(args.out)
-    rows = write_schedule_csv(out / "oracle_schedule.csv", records, cfg.system, cfg.dt)
-    summary = summarize_rows(rows, cfg.dt)
+    rows = write_schedule_csv(out / "oracle_schedule.csv", records, cfg.system, dt)
+    summary = summarize_rows(rows, dt)
     summary["grid_n"] = args.grid_n
     summary["infeasible_steps"] = infeasible_steps
     summary["scenario_hash"] = scenario_hash(scenario)
@@ -334,9 +335,10 @@ def cmd_oracle(args) -> int:
 
 
 def _oracle_record(step, loads, wind, cfg: RunConfig, t: int) -> StepRecord:
+    system = cfg.system
     balances = tuple(
-        power_balance(step.decisions[i], loads[i], wind[i], cfg.system.communities[i], cfg.system.options, cfg.dt)
-        for i in range(3)
+        power_balance(step.decisions[i], loads[i], wind[i], system.communities[i], system.options, system.price.dt)
+        for i in range(N_COMMUNITIES)
     )
     reward = step_reward(step.cost.total, [b.penalty for b in balances], cfg.reward)
     return StepRecord(

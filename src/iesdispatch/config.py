@@ -1,19 +1,19 @@
 """Run configuration: a single YAML tree with a versioned, strict schema.
 
-The defaults ship the reference system (device limits, exchange caps,
-fuel constants), so a bare run needs no file at all.  A user file may set
-any subset of keys; it is deep-merged over the defaults and then validated
-with unknown keys rejected.  The configuration hash covers the parts that
-define the physics and the agent interface (system + env), so a checkpoint
-can be matched against the system it was trained for.
+The parameter dataclasses are the only declaration of the configuration:
+the default tree is built from their defaults, a user tree is checked
+against it (unknown keys are rejected, and each value must have its
+default's type), and the domain objects are built back from the merged
+tree.  A bare run needs no file at all.  The configuration hash covers
+the parts that define the physics and the agent interface (system + env),
+so a checkpoint can be matched against the system it was trained for.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any
 
@@ -22,194 +22,120 @@ import yaml
 from .devices import ChpParams, FuelPrice, GasUnitParams, RoCogenParams
 from .env import MODES, OBSERVATION_MODES, RewardParams
 from .learner import TrainConfig
-from .scenario import PROFILES, ScenarioSpec
-from .system import (
-    BalanceOptions,
-    CommunityConfig,
-    ExchangeLimits,
-    SystemConfig,
-)
+from .scenario import ScenarioSpec
+from .system import ExchangeLimits, SystemConfig, default_system_config
 from .thermal import PipelineParams
 
 CONFIG_VERSION = 1
+
+# YAML names that differ from their dataclass field names, mostly by a unit
+# suffix; every other field is its own YAML name.
+_YAML_NAMES: dict[type, dict[str, str]] = {
+    SystemConfig: {"limits": "exchange"},
+    ExchangeLimits: {"p_max": "p_max_kw", "h_max": "h_max_kw"},
+    FuelPrice: {"gas_price": "gas_price_per_m3", "hhv": "hhv_kwh_per_m3", "dt": "dt_h"},
+    ChpParams: {"p_min": "p_min_kw", "p_max": "p_max_kw"},
+    RoCogenParams: {
+        "p_tp_min": "p_tp_min_kw",
+        "p_tp_max": "p_tp_max_kw",
+        "salinity": "salinity_mol_per_l",
+        "w_max": "w_max_m3",
+    },
+    GasUnitParams: {"out_min": "out_min_kw", "out_max": "out_max_kw"},
+    PipelineParams: {
+        "c_water": "c_water_kj_per_kg_k",
+        "thermal_resistance": "thermal_resistance_mk_per_w",
+        "length": "length_m",
+        "t_env": "t_env_c",
+        "t_supply": "t_supply_c",
+        "t_return": "t_return_c",
+    },
+}
 
 
 class ConfigError(ValueError):
     """A configuration tree violates the published schema."""
 
 
-def _default_community(cid: int) -> dict:
-    return {
-        "id": cid,
-        "chp": {"p_min_kw": 1000.0, "p_max_kw": 5000.0, "b_min": 0.0, "b_max": 1.4, "eta": 0.90},
-        "ro": {
-            "p_tp_min_kw": 0.0,
-            "p_tp_max_kw": 5000.0,
-            "osmotic_coeff": 4.17,
-            "salinity_mol_per_l": 0.6,
-            "kwh_per_m3": 8.0,
-            "w_max_m3": 500.0,
-            "recovery_rate": 0.5,
-            "eta": 0.40,
-        },
-        "gt": {"out_min_kw": 0.0, "out_max_kw": 3000.0, "eta": 0.35},
-        "gb": {"out_min_kw": 0.0, "out_max_kw": 3000.0, "eta": 0.90},
-        "pipeline": {
-            "c_water_kj_per_kg_k": 4.186,
-            "thermal_resistance_mk_per_w": 2.0,
-            "length_m": 1000.0,
-            "t_env_c": -10.0,
-            "t_supply_c": 90.0,
-            "t_return_c": 40.0,
-        },
-    }
+def _yaml_name(obj: Any, field: str) -> str:
+    return _YAML_NAMES.get(type(obj), {}).get(field, field)
+
+
+def _to_tree(obj: Any) -> Any:
+    """A dataclass (nested, possibly in tuples) as its YAML tree."""
+    if is_dataclass(obj):
+        return {_yaml_name(obj, f.name): _to_tree(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_tree(item) for item in obj]
+    return obj
+
+
+def _from_tree(default: Any, tree: Any, path: str) -> Any:
+    """Rebuild an object shaped like ``default`` from a checked tree,
+    casting each leaf to its default's type."""
+    if is_dataclass(default):
+        values = {}
+        for f in fields(default):
+            name = _yaml_name(default, f.name)
+            values[f.name] = _from_tree(getattr(default, f.name), tree[name], f"{path}.{name}")
+        try:
+            return type(default)(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    if isinstance(default, tuple):
+        return tuple(_from_tree(d, t, f"{path}[{i}]") for i, (d, t) in enumerate(zip(default, tree)))
+    return type(default)(tree)
 
 
 def default_config_tree() -> dict:
     return {
         "version": CONFIG_VERSION,
-        "mode": "coordinated",
-        "seed": 0,
-        "system": {
-            "exchange": {"p_max_kw": 1000.0, "h_max_kw": 1000.0},
-            "price": {"gas_price_per_m3": 3.5, "hhv_kwh_per_m3": 9.7, "dt_h": 1.0},
-            "options": {
-                "gross_pipeline_loss": False,
-                "cap_heat_by_water": False,
-                "exchange_loss": False,
-            },
-            "communities": [_default_community(i) for i in (1, 2, 3)],
-        },
-        "env": {
-            "observation": "own",
-            "reward": {"z": 1e5, "u": 10.0, "kappa": 1.0},
-        },
-        "train": {
-            "actor_lr": 4e-5,
-            "critic_lr": 4e-4,
-            "batch": 96,
-            "episodes": 25000,
-            "clip_eps": 0.2,
-            "discount": 0.99,
-            "gae_lambda": 0.95,
-            "epochs_per_update": 4,
-            "seed": 0,
-        },
-        "scenario": {
-            "path": None,
-            "generator": {
-                "profile": "complementary-winter",
-                "amplitude": 1.0,
-                "noise_std": 0.0,
-                "seed": 0,
-            },
-        },
+        "mode": MODES[0],
+        "seed": 0,  # kept so existing files stay valid; the train seed is train.seed
+        "system": _to_tree(default_system_config()),
+        "env": {"observation": OBSERVATION_MODES[0], "reward": _to_tree(RewardParams())},
+        "train": _to_tree(TrainConfig()),
+        "scenario": {"path": None, "generator": _to_tree(ScenarioSpec())},
     }
 
 
-# Schema leaves: (python types, validator description). Lists carry an
-# element schema; dicts nest.
-_NUMBER = (int, float)
-_SCHEMA: dict = {
-    "version": _NUMBER,
-    "mode": str,
-    "seed": _NUMBER,
-    "system": {
-        "exchange": {"p_max_kw": _NUMBER, "h_max_kw": _NUMBER},
-        "price": {"gas_price_per_m3": _NUMBER, "hhv_kwh_per_m3": _NUMBER, "dt_h": _NUMBER},
-        "options": {
-            "gross_pipeline_loss": bool,
-            "cap_heat_by_water": bool,
-            "exchange_loss": bool,
-        },
-        "communities": [
-            {
-                "id": _NUMBER,
-                "chp": {"p_min_kw": _NUMBER, "p_max_kw": _NUMBER, "b_min": _NUMBER, "b_max": _NUMBER, "eta": _NUMBER},
-                "ro": {
-                    "p_tp_min_kw": _NUMBER,
-                    "p_tp_max_kw": _NUMBER,
-                    "osmotic_coeff": _NUMBER,
-                    "salinity_mol_per_l": _NUMBER,
-                    "kwh_per_m3": _NUMBER,
-                    "w_max_m3": _NUMBER,
-                    "recovery_rate": _NUMBER,
-                    "eta": _NUMBER,
-                },
-                "gt": {"out_min_kw": _NUMBER, "out_max_kw": _NUMBER, "eta": _NUMBER},
-                "gb": {"out_min_kw": _NUMBER, "out_max_kw": _NUMBER, "eta": _NUMBER},
-                "pipeline": {
-                    "c_water_kj_per_kg_k": _NUMBER,
-                    "thermal_resistance_mk_per_w": _NUMBER,
-                    "length_m": _NUMBER,
-                    "t_env_c": _NUMBER,
-                    "t_supply_c": _NUMBER,
-                    "t_return_c": _NUMBER,
-                },
-            }
-        ],
-    },
-    "env": {
-        "observation": str,
-        "reward": {"z": _NUMBER, "u": _NUMBER, "kappa": _NUMBER},
-    },
-    "train": {
-        "actor_lr": _NUMBER,
-        "critic_lr": _NUMBER,
-        "batch": int,
-        "episodes": int,
-        "clip_eps": _NUMBER,
-        "discount": _NUMBER,
-        "gae_lambda": _NUMBER,
-        "epochs_per_update": int,
-        "seed": int,
-    },
-    "scenario": {
-        "path": (str, type(None)),
-        "generator": {"profile": str, "amplitude": _NUMBER, "noise_std": _NUMBER, "seed": int},
-    },
-}
-
-
-def _validate(tree: Any, schema: Any, path: str) -> None:
-    if isinstance(schema, dict):
-        if not isinstance(tree, dict):
-            raise ConfigError(f"{path or 'config'}: expected a mapping")
-        unknown = set(tree) - set(schema)
-        if unknown:
-            raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
-        for key, sub in schema.items():
-            if key not in tree:
-                raise ConfigError(f"{path or 'config'}: missing key {key!r}")
-            _validate(tree[key], sub, f"{path}.{key}" if path else key)
-    elif isinstance(schema, list):
-        if not isinstance(tree, list):
-            raise ConfigError(f"{path}: expected a list")
-        for i, item in enumerate(tree):
-            _validate(item, schema[0], f"{path}[{i}]")
+def _check_leaf(default: Any, value: Any, path: str) -> None:
+    """A leaf takes its default's type; a float also takes an int, and a
+    null default (a path) takes a string."""
+    if default is None:
+        allowed: tuple[type, ...] = (str, type(None))
+    elif type(default) is float:
+        allowed = (float, int)
     else:
-        if isinstance(tree, bool) and schema is not bool and not (isinstance(schema, tuple) and bool in schema):
-            raise ConfigError(f"{path}: expected {schema}, got a boolean")
-        if not isinstance(tree, schema):
-            raise ConfigError(f"{path}: expected {schema}, got {type(tree).__name__}")
+        allowed = (type(default),)
+    if type(value) not in allowed:
+        names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
 
 
-def _deep_merge(base: Any, override: Any, path: str) -> Any:
-    if isinstance(base, dict):
-        if not isinstance(override, dict):
-            raise ConfigError(f"{path or 'config'}: expected a mapping")
-        merged = copy.deepcopy(base)
-        for key, value in override.items():
-            if key in base:
-                merged[key] = _deep_merge(base[key], value, f"{path}.{key}" if path else key)
-            else:
-                merged[key] = copy.deepcopy(value)  # rejected later by _validate
-        return merged
-    if isinstance(base, list) and isinstance(override, list):
-        if len(override) != len(base):
-            raise ConfigError(f"{path}: expected {len(base)} entries, got {len(override)}")
-        return [_deep_merge(b, o, f"{path}[{i}]") for i, (b, o) in enumerate(zip(base, override))]
-    return copy.deepcopy(override)
+def _merge(default: Any, layers: list, path: str) -> Any:
+    """Lay each tree of ``layers`` over ``default`` in turn, checking every
+    key and leaf against the default tree."""
+    where = path or "config"
+    if isinstance(default, dict):
+        for layer in layers:
+            if not isinstance(layer, dict):
+                raise ConfigError(f"{where}: expected a mapping")
+            unknown = set(layer) - set(default)
+            if unknown:
+                raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        return {
+            key: _merge(value, [layer[key] for layer in layers if key in layer], f"{path}.{key}" if path else key)
+            for key, value in default.items()
+        }
+    if isinstance(default, list):
+        for layer in layers:
+            if not isinstance(layer, list) or len(layer) != len(default):
+                raise ConfigError(f"{where}: expected a list of {len(default)} entries")
+        return [_merge(d, [layer[i] for layer in layers], f"{path}[{i}]") for i, d in enumerate(default)]
+    for value in layers:
+        _check_leaf(default, value, path)
+    return layers[-1] if layers else default
 
 
 @dataclass
@@ -218,18 +144,31 @@ class RunConfig:
 
     tree: dict
     mode: str
-    seed: int
     system: SystemConfig
     reward: RewardParams
     observation: str
     train: TrainConfig
     scenario_path: str | None
     generator: ScenarioSpec
-    dt: float
 
 
-def _build(tree: dict) -> RunConfig:
-    if int(tree["version"]) != CONFIG_VERSION:
+def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
+    """Build a validated RunConfig from defaults, an optional file, and
+    command-line overrides (applied last)."""
+    layers = []
+    if path is not None:
+        with Path(path).open("r", encoding="utf-8") as fh:
+            user_tree = yaml.safe_load(fh)
+        if user_tree is None:
+            user_tree = {}
+        if not isinstance(user_tree, dict):
+            raise ConfigError(f"{path}: top level must be a mapping")
+        layers.append(user_tree)
+    if overrides:
+        layers.append(overrides)
+    tree = _merge(default_config_tree(), layers, "")
+
+    if tree["version"] != CONFIG_VERSION:
         raise ConfigError(f"unsupported config version {tree['version']}, expected {CONFIG_VERSION}")
     if tree["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {tree['mode']!r}")
@@ -238,126 +177,16 @@ def _build(tree: dict) -> RunConfig:
         raise ConfigError(
             f"env.observation must be one of {OBSERVATION_MODES}, got {env_tree['observation']!r}"
         )
-    gen_tree = tree["scenario"]["generator"]
-    if gen_tree["profile"] not in PROFILES:
-        raise ConfigError(f"scenario.generator.profile must be one of {PROFILES}")
-
-    sys_tree = tree["system"]
-    try:
-        communities = []
-        for c in sys_tree["communities"]:
-            communities.append(
-                CommunityConfig(
-                    id=int(c["id"]),
-                    chp=ChpParams(
-                        p_min=float(c["chp"]["p_min_kw"]),
-                        p_max=float(c["chp"]["p_max_kw"]),
-                        b_min=float(c["chp"]["b_min"]),
-                        b_max=float(c["chp"]["b_max"]),
-                        eta=float(c["chp"]["eta"]),
-                    ),
-                    ro=RoCogenParams(
-                        p_tp_min=float(c["ro"]["p_tp_min_kw"]),
-                        p_tp_max=float(c["ro"]["p_tp_max_kw"]),
-                        osmotic_coeff=float(c["ro"]["osmotic_coeff"]),
-                        salinity=float(c["ro"]["salinity_mol_per_l"]),
-                        kwh_per_m3=float(c["ro"]["kwh_per_m3"]),
-                        w_max=float(c["ro"]["w_max_m3"]),
-                        recovery_rate=float(c["ro"]["recovery_rate"]),
-                        eta=float(c["ro"]["eta"]),
-                    ),
-                    gt=GasUnitParams(
-                        out_min=float(c["gt"]["out_min_kw"]),
-                        out_max=float(c["gt"]["out_max_kw"]),
-                        eta=float(c["gt"]["eta"]),
-                    ),
-                    gb=GasUnitParams(
-                        out_min=float(c["gb"]["out_min_kw"]),
-                        out_max=float(c["gb"]["out_max_kw"]),
-                        eta=float(c["gb"]["eta"]),
-                    ),
-                    pipeline=PipelineParams(
-                        c_water=float(c["pipeline"]["c_water_kj_per_kg_k"]),
-                        thermal_resistance=float(c["pipeline"]["thermal_resistance_mk_per_w"]),
-                        length=float(c["pipeline"]["length_m"]),
-                        t_env=float(c["pipeline"]["t_env_c"]),
-                        t_supply=float(c["pipeline"]["t_supply_c"]),
-                        t_return=float(c["pipeline"]["t_return_c"]),
-                    ),
-                )
-            )
-        system = SystemConfig(
-            communities=tuple(communities),
-            price=FuelPrice(
-                gas_price=float(sys_tree["price"]["gas_price_per_m3"]),
-                hhv=float(sys_tree["price"]["hhv_kwh_per_m3"]),
-                dt=float(sys_tree["price"]["dt_h"]),
-            ),
-            limits=ExchangeLimits(
-                p_max=float(sys_tree["exchange"]["p_max_kw"]),
-                h_max=float(sys_tree["exchange"]["h_max_kw"]),
-            ),
-            options=BalanceOptions(
-                gross_pipeline_loss=bool(sys_tree["options"]["gross_pipeline_loss"]),
-                cap_heat_by_water=bool(sys_tree["options"]["cap_heat_by_water"]),
-                exchange_loss=bool(sys_tree["options"]["exchange_loss"]),
-            ),
-        )
-        reward = RewardParams(
-            z=float(env_tree["reward"]["z"]),
-            u=float(env_tree["reward"]["u"]),
-            kappa=float(env_tree["reward"]["kappa"]),
-        )
-        train = TrainConfig(
-            actor_lr=float(tree["train"]["actor_lr"]),
-            critic_lr=float(tree["train"]["critic_lr"]),
-            batch=int(tree["train"]["batch"]),
-            episodes=int(tree["train"]["episodes"]),
-            clip_eps=float(tree["train"]["clip_eps"]),
-            discount=float(tree["train"]["discount"]),
-            gae_lambda=float(tree["train"]["gae_lambda"]),
-            epochs_per_update=int(tree["train"]["epochs_per_update"]),
-            seed=int(tree["train"]["seed"]),
-        )
-        generator = ScenarioSpec(
-            profile=str(gen_tree["profile"]),
-            amplitude=float(gen_tree["amplitude"]),
-            noise_std=float(gen_tree["noise_std"]),
-            seed=int(gen_tree["seed"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
     return RunConfig(
         tree=tree,
-        mode=str(tree["mode"]),
-        seed=int(tree["seed"]),
-        system=system,
-        reward=reward,
-        observation=str(env_tree["observation"]),
-        train=train,
+        mode=tree["mode"],
+        system=_from_tree(default_system_config(), tree["system"], "system"),
+        reward=_from_tree(RewardParams(), env_tree["reward"], "env.reward"),
+        observation=env_tree["observation"],
+        train=_from_tree(TrainConfig(), tree["train"], "train"),
         scenario_path=tree["scenario"]["path"],
-        generator=generator,
-        dt=float(sys_tree["price"]["dt_h"]),
+        generator=_from_tree(ScenarioSpec(), tree["scenario"]["generator"], "scenario.generator"),
     )
-
-
-def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
-    """Build a validated RunConfig from defaults, an optional file, and
-    command-line overrides (applied last)."""
-    tree = default_config_tree()
-    if path is not None:
-        with Path(path).open("r", encoding="utf-8") as fh:
-            user_tree = yaml.safe_load(fh)
-        if user_tree is None:
-            user_tree = {}
-        if not isinstance(user_tree, dict):
-            raise ConfigError(f"{path}: top level must be a mapping")
-        tree = _deep_merge(tree, user_tree, "")
-    if overrides:
-        tree = _deep_merge(tree, overrides, "")
-    _validate(tree, _SCHEMA, "")
-    return _build(tree)
 
 
 def config_hash(run_cfg: RunConfig) -> str:

@@ -23,7 +23,9 @@ import numpy as np
 from .env import (
     ACTION_DIM,
     EPISODE_STEPS,
+    MODES,
     N_AGENTS,
+    OBSERVATION_MODES,
     STATE_DIM,
     DispatchEnv,
     RewardParams,
@@ -215,19 +217,14 @@ def actor_loss_and_grads(
     """Clipped-surrogate loss and its exact gradients for one actor."""
     mean, cache = actor.net.forward(obs)
     log_std = actor.clamped_log_std()
+    lp_new = gaussian_log_prob(mean, log_std, actions)
+    ratio = prob_ratio(lp_new, log_prob_old)
+    loss = clipped_surrogate(ratio, advantages, clip_eps)
+
     inv_std = np.exp(-log_std)
     z = (actions - mean) * inv_std
-    dim = actions.shape[1]
-    lp_new = -0.5 * np.sum(z * z, axis=1) - np.sum(log_std) - 0.5 * dim * _LOG_2PI
-    diff = np.clip(lp_new - log_prob_old, -RATIO_EXP_CLAMP, RATIO_EXP_CLAMP)
-    ratio = np.exp(diff)
-    clipped = np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps)
-    s_raw = ratio * advantages
-    s_clip = clipped * advantages
-    loss = float(-np.minimum(s_raw, s_clip).mean())
-
     batch = len(advantages)
-    through_raw = s_raw <= s_clip
+    through_raw = ratio * advantages <= np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
     inside_band = (ratio > 1.0 - clip_eps) & (ratio < 1.0 + clip_eps)
     dmin_dratio = np.where(through_raw, advantages, advantages * inside_band)
     dratio_dlp = np.where(np.abs(lp_new - log_prob_old) < RATIO_EXP_CLAMP, ratio, 0.0)
@@ -260,11 +257,10 @@ def log_prob_loss_and_grads(
     """
     mean, cache = actor.net.forward(obs)
     log_std = actor.clamped_log_std()
+    lp = gaussian_log_prob(mean, log_std, actions)
+    loss = float(lp.mean())
     inv_std = np.exp(-log_std)
     z = (actions - mean) * inv_std
-    dim = actions.shape[1]
-    lp = -0.5 * np.sum(z * z, axis=1) - np.sum(log_std) - 0.5 * dim * _LOG_2PI
-    loss = float(lp.mean())
     batch = len(lp)
     dmean = (z * inv_std) / batch
     grads = actor.net.backward(cache, dmean)
@@ -457,6 +453,8 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
         stats.episode = episode
         log.append(stats)
         monitor.observe(stats.mean_reward, episode)
+    if buffer:  # the episodes after the last full batch
+        _update(actors, critics, actor_opts, critic_opts, buffer, cfg, independent)
 
     return TrainResult(
         mode=env.mode,
@@ -543,34 +541,72 @@ def save_checkpoint(path: str | Path, result: TrainResult, config_hash: str, sce
         json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
 
 
+def _require(blob: dict, keys, where: str) -> None:
+    missing = [key for key in keys if key not in blob]
+    if missing:
+        raise ValueError(f"{where}: missing keys {missing}")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint, checking its keys and network shapes against
+    its mode and observation before any of it is used."""
     with Path(path).open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    where = f"checkpoint {path}"
+    if not isinstance(payload, dict):
+        raise ValueError(f"{where}: top level must be an object")
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    _require(
+        payload,
+        ("mode", "observation", "config_hash", "scenario_hash", "reward", "scales", "actors", "critics"),
+        where,
+    )
+    mode, observation = payload["mode"], payload["observation"]
+    if mode not in MODES:
+        raise ValueError(f"{where}: mode must be one of {MODES}, got {mode!r}")
+    if observation not in OBSERVATION_MODES:
+        raise ValueError(f"{where}: observation must be one of {OBSERVATION_MODES}, got {observation!r}")
+    independent = mode == "independent"
+    obs_dim = observation_dim(observation)
+    critic_dim = obs_dim if independent else STATE_DIM
+    n_critics = N_AGENTS if independent else 1
+    if len(payload["actors"]) != N_AGENTS:
+        raise ValueError(f"{where}: {len(payload['actors'])} actors, expected {N_AGENTS}")
+    if len(payload["critics"]) != n_critics:
+        raise ValueError(f"{where}: {len(payload['critics'])} critics, expected {n_critics} for mode {mode!r}")
 
-    def rebuild_actor(blob: dict) -> GaussianActor:
+    def input_weights(blob: dict, name: str, expected: int) -> np.ndarray:
+        _require(blob, ("w1",), f"{where}: {name}")
         w1 = np.asarray(blob["w1"], dtype=float)
-        w3 = np.asarray(blob["w3"], dtype=float)
-        actor = GaussianActor(obs_dim=w1.shape[0], act_dim=w3.shape[1], hidden=w1.shape[1])
+        if w1.ndim != 2 or w1.shape[0] != expected:
+            raise ValueError(f"{where}: {name} has input weights of shape {w1.shape}, expected {expected} inputs")
+        return w1
+
+    def rebuild_actor(k: int, blob: dict) -> GaussianActor:
+        w1 = input_weights(blob, f"actor {k}", obs_dim)
+        _require(blob, ("log_std",), f"{where}: actor {k}")
+        actor = GaussianActor(obs_dim=obs_dim, act_dim=ACTION_DIM, hidden=w1.shape[1])
         actor.net.set_params(blob)
         actor.log_std[...] = np.asarray(blob["log_std"], dtype=float)
         return actor
 
-    def rebuild_critic(blob: dict) -> Critic:
-        w1 = np.asarray(blob["w1"], dtype=float)
-        critic = Critic(obs_dim=w1.shape[0], hidden=w1.shape[1])
+    def rebuild_critic(k: int, blob: dict) -> Critic:
+        w1 = input_weights(blob, f"critic {k}", critic_dim)
+        critic = Critic(obs_dim=critic_dim, hidden=w1.shape[1])
         critic.net.set_params(blob)
         return critic
 
+    reward = payload["reward"]
+    _require(reward, ("z", "u", "kappa"), f"{where}: reward")
     return Checkpoint(
-        mode=payload["mode"],
-        observation=payload["observation"],
+        mode=mode,
+        observation=observation,
         config_hash=payload["config_hash"],
         scenario_hash=payload["scenario_hash"],
-        reward_params=RewardParams(**payload["reward"]),
+        reward_params=RewardParams(z=reward["z"], u=reward["u"], kappa=reward["kappa"]),
         scales=np.asarray(payload["scales"], dtype=float),
-        actors=[rebuild_actor(blob) for blob in payload["actors"]],
-        critics=[rebuild_critic(blob) for blob in payload["critics"]],
+        actors=[rebuild_actor(k, blob) for k, blob in enumerate(payload["actors"])],
+        critics=[rebuild_critic(k, blob) for k, blob in enumerate(payload["critics"])],
     )

@@ -75,6 +75,8 @@ class Mlp:
 
     def set_params(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in self.params().items():
+            if name not in values:
+                raise ValueError(f"missing parameter {name}")
             src = np.asarray(values[name], dtype=float)
             if src.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {src.shape} vs {arr.shape}")

@@ -132,6 +132,42 @@ class TestTrainEvaluate:
         assert json.loads(capsys.readouterr().err)["error"] == "CheckpointMismatch"
 
 
+# Corruptions of a trained coordinated checkpoint, each with a word the
+# error message must contain.
+CHECKPOINT_CORRUPTIONS = {
+    "missing-key": (lambda c: c.pop("scales"), "scales"),
+    "two-actors": (lambda c: c["actors"].pop(), "actors"),
+    "two-critics": (lambda c: c["critics"].append(c["critics"][0]), "critics"),
+    "actor-input-width": (lambda c: c["actors"][1]["w1"].pop(), "actor 1"),
+    "critic-input-width": (lambda c: c["critics"][0]["w1"].pop(), "critic 0"),
+}
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("case", CHECKPOINT_CORRUPTIONS)
+    def test_corrupt_checkpoint_rejected(self, workspace, capsys, case):
+        corrupt, word = CHECKPOINT_CORRUPTIONS[case]
+        tmp, cfg, scenario = workspace
+        run = tmp / "run"
+        assert main([
+            "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(run), "--episodes", "4",
+        ]) == 0
+        path = run / "checkpoint.json"
+        payload = read_json(path)
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--config", str(cfg), "--scenario", str(scenario),
+            "--checkpoint", str(path), "--out", str(tmp / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert word in err["message"]
+        assert not (tmp / "eval").exists()
+
+
 class TestCompare:
     def test_identical_checkpoints_zero_deltas(self, workspace):
         tmp, cfg, scenario = workspace
@@ -196,9 +232,18 @@ class TestConfigValidation:
     def test_bad_value_rejected(self, workspace, capsys):
         tmp, _, scenario = workspace
         bad = tmp / "bad.yaml"
-        bad.write_text("train:\n  clip_eps: 1.5\n", encoding="utf-8")
-        code = main([
-            "train", "--config", str(bad), "--scenario", str(scenario), "--out", str(tmp / "x"),
-        ])
-        assert code == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        for text in (
+            "train:\n  clip_eps: 1.5\n",
+            # Integer keys take no float, not even one int() would truncate.
+            "seed: 1.5\n",
+            "version: 1.9\n",
+            "system: {communities: [{id: 1.7}, {}, {}]}\n",
+        ):
+            bad.write_text(text, encoding="utf-8")
+            code = main([
+                "train", "--config", str(bad), "--scenario", str(scenario), "--out", str(tmp / "x"),
+                "--episodes", "4",
+            ])
+            assert code == 1, text
+            assert json.loads(capsys.readouterr().err)["error"] == "ConfigError", text
+            assert not (tmp / "x").exists(), text

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from iesdispatch import learner
 from iesdispatch.env import DispatchEnv, RewardParams
 from iesdispatch.learner import (
     Checkpoint,
@@ -194,6 +195,18 @@ class TestTrainingLoop:
             for d in record.decisions:
                 assert d.p_exch == 0.0
                 assert d.h_exch == 0.0
+
+    def test_trailing_episodes_are_trained_on(self, monkeypatch):
+        batches = []
+        real_update = learner._update
+
+        def counting_update(*args):
+            batches.append(len(args[4]))
+            real_update(*args)
+
+        monkeypatch.setattr(learner, "_update", counting_update)
+        train_mappo(small_env(), TrainConfig(episodes=7, batch=96, seed=0))
+        assert batches == [4, 3]
 
     def test_independent_requires_independent_env(self):
         with pytest.raises(ValueError):
