@@ -4,9 +4,12 @@ States are the normalized loads and available wind of all three
 communities; each community is an agent holding an 8-entry action in
 [-1, 1] that maps affinely onto its physical setpoints.  One step decodes
 the joint action, projects the exchanges, evaluates balances and fuel
-cost, and returns a shared scalar reward.  The environment is a value
-machine: independent instances can run in parallel, a single instance is
-not shared between concurrent callers.
+cost, and returns a shared scalar reward.  No action changes the loads or
+the wind, so a whole day of joint actions can also be evaluated at once:
+``evaluate_day`` does so with arrays, and ``evaluate_step`` is its scalar
+reference.  The environment is a value machine: independent instances
+can run in parallel, a single instance is not shared between concurrent
+callers.
 
 Action layout per agent (all in [-1, 1]):
   0 CHP electric output      4 gas-turbine output
@@ -35,9 +38,12 @@ from .system import (
     SystemConfig,
     clip_to_limits,
     community_cost,
+    left_sum,
     power_balance,
     project_exchanges,
+    water_rate_cap,
 )
+from .thermal import KJ_PER_KWH, WATER_DENSITY, pipeline_heat_loss
 
 N_AGENTS = 3
 STATE_DIM = 12
@@ -83,15 +89,17 @@ def compute_scales(scenario: ScenarioData) -> np.ndarray:
     return np.maximum(scales, 1.0)
 
 
+def encode_day(scenario: ScenarioData, scales: np.ndarray) -> np.ndarray:
+    """Normalized states of all steps, (24, 12): row t is (p1, h1, w1, wind1, p2, ..., wind3)."""
+    raw = np.stack([scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind], axis=2)
+    return (raw / scales[:, None, :]).transpose(1, 0, 2).reshape(EPISODE_STEPS, STATE_DIM)
+
+
 def encode_state(scenario: ScenarioData, t: int, scales: np.ndarray) -> np.ndarray:
     """Normalized 12-vector (p1, h1, w1, wind1, p2, ..., wind3) at step t."""
     if not 0 <= t < EPISODE_STEPS:
         raise ValueError(f"step must be in [0, {EPISODE_STEPS}), got {t}")
-    raw = np.stack(
-        [scenario.p_load[:, t], scenario.h_load[:, t], scenario.w_load[:, t], scenario.p_wind[:, t]],
-        axis=1,
-    )
-    return (raw / scales).ravel()
+    return encode_day(scenario, scales)[t]
 
 
 def agent_observation(state: np.ndarray, agent: int, observation: str = "own") -> np.ndarray:
@@ -101,6 +109,15 @@ def agent_observation(state: np.ndarray, agent: int, observation: str = "own") -
     if observation != "own":
         raise ValueError(f"observation must be one of {OBSERVATION_MODES}, got {observation!r}")
     return np.asarray(state, dtype=float)[4 * agent : 4 * agent + 4]
+
+
+def day_observations(states: np.ndarray, observation: str = "own") -> np.ndarray:
+    """What each actor sees at every step, (3, 24, observation_dim)."""
+    if observation == "full":
+        return np.stack([states] * N_AGENTS)
+    if observation != "own":
+        raise ValueError(f"observation must be one of {OBSERVATION_MODES}, got {observation!r}")
+    return np.ascontiguousarray(states.reshape(len(states), N_AGENTS, 4).transpose(1, 0, 2))
 
 
 def observation_dim(observation: str) -> int:
@@ -149,7 +166,7 @@ def decode_action(
 
 def step_reward(cost: float, penalties: Sequence[float], params: RewardParams) -> float:
     """Shared team reward for one step; bounded above by ``params.u``."""
-    return params.u - (cost + params.kappa * float(sum(penalties))) / params.z
+    return params.u - (cost + params.kappa * float(left_sum(penalties))) / params.z
 
 
 @dataclass(frozen=True)
@@ -166,15 +183,15 @@ class StepRecord:
 
     @property
     def cost_total(self) -> float:
-        return sum(self.costs)
+        return left_sum(self.costs)
 
     @property
     def penalty_total(self) -> float:
-        return sum(b.penalty for b in self.balances)
+        return left_sum(b.penalty for b in self.balances)
 
     @property
     def curtailed_total(self) -> float:
-        return sum(b.curtailed for b in self.balances)
+        return left_sum(b.curtailed for b in self.balances)
 
     def agent_rewards(self, params: RewardParams) -> tuple[float, ...]:
         """Per-community rewards used when each community learns alone."""
@@ -227,7 +244,7 @@ def evaluate_step(
         costs.append(community_cost(d, cfgs[i], system_cfg.price))
         wind.append(avail)
 
-    reward = step_reward(sum(costs), [b.penalty for b in balances], reward_params)
+    reward = step_reward(left_sum(costs), [b.penalty for b in balances], reward_params)
     return StepRecord(
         t=t,
         decisions=tuple(final),
@@ -239,8 +256,143 @@ def evaluate_step(
     )
 
 
+@dataclass(frozen=True)
+class DayEvaluation:
+    """A whole day of evaluated joint actions, as arrays over its steps.
+
+    ``team_reward`` has shape (24,); the others have shape (24, 3), one
+    column per community in id order.
+    """
+
+    team_reward: np.ndarray
+    agent_reward: np.ndarray
+    cost: np.ndarray
+    penalty: np.ndarray
+    curtailed: np.ndarray
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the three communities, left to right like ``left_sum``."""
+    return x[:, 0] + x[:, 1] + x[:, 2]
+
+
+def day_total(x: np.ndarray) -> float:
+    """Total of a (24, 3) array, added as the ``StepRecord`` totals of
+    the steps would be: each step's communities, then the steps, left to right."""
+    return float(left_sum(_row_sum(x).tolist()))
+
+
+def _project_rows(x: np.ndarray, bound: float) -> np.ndarray:
+    """``project_exchanges`` for each row of a (24, 3) array."""
+    v = x - (_row_sum(x) / N_AGENTS)[:, None]
+    total = _row_sum(np.abs(v))
+    cap = 2.0 * bound
+    shrink = (total > cap) & (total > 0.0)
+    return v * np.where(shrink, cap / np.where(shrink, total, 1.0), 1.0)[:, None]
+
+
+def evaluate_day(
+    scenario: ScenarioData,
+    actions: np.ndarray,
+    system_cfg: SystemConfig,
+    reward_params: RewardParams,
+    mode: str = "coordinated",
+    dt: float = 1.0,
+) -> DayEvaluation:
+    """``evaluate_step`` for all 24 steps at once, from actions of shape (24, 3, 8).
+
+    Each quantity goes through the same operations in the same order as
+    in the scalar path: clip, affine map, box clip, zero-sum projection,
+    balance, fuel cost, reward.  Sums over the communities run left to
+    right as ``left_sum`` does, never through ``np.sum``, so every result
+    equals ``evaluate_step``'s bit for bit.  ``evaluate_step`` stays the
+    reference; the tests hold the two equal.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    a = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
+    if a.shape != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
+        raise ValueError(f"actions must have shape {(EPISODE_STEPS, N_AGENTS, ACTION_DIM)}, got {a.shape}")
+    cfgs = system_cfg.communities
+    limits, options, price = system_cfg.limits, system_cfg.options, system_cfg.price
+
+    def per_community(get) -> np.ndarray:
+        return np.array([get(c) for c in cfgs], dtype=float)
+
+    def setpoint(j: int, lo, hi) -> np.ndarray:
+        """action_to_setpoints' affine map of entry j, then clip_to_limits' clamp."""
+        return np.clip(lo + (a[:, :, j] + 1.0) * 0.5 * (hi - lo), lo, hi)
+
+    def fuel(output: np.ndarray, eta: np.ndarray) -> np.ndarray:
+        """devices.gas_cost, without its argument checks."""
+        return price.gas_price * output / (eta * price.hhv) * price.dt
+
+    q = per_community(lambda c: c.ro.kwh_per_m3)
+    p_chp = setpoint(0, per_community(lambda c: c.chp.p_min), per_community(lambda c: c.chp.p_max))
+    b_chp = setpoint(1, per_community(lambda c: c.chp.b_min), per_community(lambda c: c.chp.b_max))
+    p_tp = setpoint(2, per_community(lambda c: c.ro.p_tp_min), per_community(lambda c: c.ro.p_tp_max))
+    w_cap = per_community(lambda c: c.ro.w_max / dt)
+    w_rate = np.clip(0.0 + (a[:, :, 3] + 1.0) * 0.5 * (w_cap - 0.0), 0.0, water_rate_cap(p_tp, q, w_cap))
+    p_gt = setpoint(4, per_community(lambda c: c.gt.out_min), per_community(lambda c: c.gt.out_max))
+    h_gb = setpoint(5, per_community(lambda c: c.gb.out_min), per_community(lambda c: c.gb.out_max))
+    if mode == "independent":
+        p_exch = h_exch = np.zeros((EPISODE_STEPS, N_AGENTS))
+    else:
+        p_exch = _project_rows(setpoint(6, -limits.p_max, limits.p_max), limits.p_max)
+        h_exch = _project_rows(setpoint(7, -limits.h_max, limits.h_max), limits.h_max)
+
+    # power_balance
+    wind = scenario.p_wind.T
+    surplus = p_chp + (p_tp - q * w_rate) + p_gt + wind + p_exch - scenario.p_load.T
+    curtailed = np.minimum(wind, np.maximum(0.0, surplus))
+    d_elec = np.abs(surplus - curtailed)
+    h_chp = b_chp * p_chp
+    h_supply = h_chp + h_gb + h_exch
+    loss = per_community(lambda c: pipeline_heat_loss(c.pipeline))
+    if options.exchange_loss:
+        h_supply = np.where(h_exch < 0.0, h_supply - loss, h_supply)
+    if options.cap_heat_by_water:
+        # thermal.deliverable_heat_power, in its operation order
+        c_water = per_community(lambda c: c.pipeline.c_water)
+        t_drop = per_community(lambda c: c.pipeline.t_supply - c.pipeline.t_return)
+        carried = c_water * (w_rate * dt * WATER_DENSITY) * t_drop / KJ_PER_KWH / dt
+        h_supply = np.minimum(h_supply, carried)
+    h_load = scenario.h_load.T
+    h_demand = h_load + loss if options.gross_pipeline_loss else h_load
+    d_heat = np.abs(h_supply - h_demand)
+    d_water = np.abs(w_rate - scenario.w_load.T)
+    penalty = d_elec + d_heat + q * d_water
+
+    # community_cost
+    chp_eta = per_community(lambda c: c.chp.eta)
+    ro_eta = per_community(lambda c: c.ro.eta)
+    pump = q * w_rate
+    cost = (
+        fuel(p_chp, chp_eta)
+        + fuel(h_chp, chp_eta)
+        + fuel(p_tp - pump, ro_eta)
+        + fuel(pump, ro_eta)
+        + fuel(p_gt, per_community(lambda c: c.gt.eta))
+        + fuel(h_gb, per_community(lambda c: c.gb.eta))
+    )
+
+    u, kappa, z = reward_params.u, reward_params.kappa, reward_params.z
+    return DayEvaluation(
+        team_reward=u - (_row_sum(cost) + kappa * _row_sum(penalty)) / z,
+        agent_reward=u - (cost + kappa * penalty) / z,
+        cost=cost,
+        penalty=penalty,
+        curtailed=curtailed,
+    )
+
+
 class DispatchEnv:
-    """Stateful wrapper driving one 24-step episode at a time."""
+    """One day's scenario and settings, with its states encoded once.
+
+    ``states`` (24, 12) and ``observations`` (3, 24, observation_dim) are
+    fixed by the scenario, since no action changes the loads or the wind;
+    ``reset``/``step`` drive one 24-step episode at a time over them.
+    """
 
     def __init__(
         self,
@@ -263,6 +415,10 @@ class DispatchEnv:
         self.observation = observation
         self.scales = compute_scales(scenario) if scales is None else np.asarray(scales, dtype=float)
         self.dt = dt
+        self.states = encode_day(scenario, self.scales)
+        self.observations = day_observations(self.states, observation)
+        self.states.setflags(write=False)
+        self.observations.setflags(write=False)
         self._t = 0
 
     @property
@@ -271,10 +427,7 @@ class DispatchEnv:
 
     def reset(self) -> np.ndarray:
         self._t = 0
-        return encode_state(self.scenario, 0, self.scales)
-
-    def agent_obs(self, state: np.ndarray) -> list[np.ndarray]:
-        return [agent_observation(state, i, self.observation) for i in range(N_AGENTS)]
+        return self.states[0].copy()
 
     def step(self, actions: np.ndarray) -> tuple[np.ndarray, float, bool, StepRecord]:
         if self._t >= EPISODE_STEPS:
@@ -286,5 +439,5 @@ class DispatchEnv:
         if record.done:
             next_state = np.zeros(STATE_DIM)
         else:
-            next_state = encode_state(self.scenario, self._t, self.scales)
+            next_state = self.states[self._t].copy()
         return next_state, record.reward, record.done, record

@@ -30,6 +30,9 @@ from .env import (
     DispatchEnv,
     RewardParams,
     StepRecord,
+    day_total,
+    evaluate_day,
+    evaluate_step,
     observation_dim,
 )
 from .nets import HIDDEN_UNITS, Adam, Mlp, clip_grads_
@@ -92,12 +95,18 @@ def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray)
 
 def sample_action(
     mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """Draw one action and its log-density; callers clamp log_std first."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw actions and their log-densities; callers clamp log_std first.
+
+    Batched over the leading axes of ``mean``.  The noise is one draw of
+    ``mean``'s shape, which consumes the generator in C order: a (24, 3, 8)
+    draw yields the numbers that 72 draws of 8, step by step and agent by
+    agent, would.
+    """
     mean = np.asarray(mean, dtype=float)
     noise = rng.standard_normal(mean.shape)
     action = mean + np.exp(log_std) * noise
-    return action, float(gaussian_log_prob(mean, log_std, action))
+    return action, gaussian_log_prob(mean, log_std, action)
 
 
 def prob_ratio(log_prob_new: np.ndarray, log_prob_old: np.ndarray) -> np.ndarray:
@@ -172,9 +181,6 @@ class GaussianActor:
     def mean_action(self, obs: np.ndarray) -> np.ndarray:
         return self.net.forward(obs)[0][0]
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, float]:
-        return sample_action(self.mean_action(obs), self.clamped_log_std(), rng)
-
     def log_probs(self, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         mean, _ = self.net.forward(obs)
         return gaussian_log_prob(mean, self.clamped_log_std(), actions)
@@ -195,12 +201,6 @@ class Critic:
         hidden: int = HIDDEN_UNITS,
     ) -> None:
         self.net = Mlp(obs_dim, 1, hidden, rng, out_gain=1.0)
-
-    def value(self, obs: np.ndarray) -> float:
-        return float(self.net.forward(obs)[0][0, 0])
-
-    def values(self, obs: np.ndarray) -> np.ndarray:
-        return self.net.forward(obs)[0][:, 0]
 
     def params(self) -> dict[str, np.ndarray]:
         return self.net.params()
@@ -341,44 +341,39 @@ def _collect_episode(
     critics: list[Critic],
     rng: np.random.Generator,
     independent: bool,
-) -> tuple[_Episode, LogRow, list[StepRecord]]:
-    obs_dim = observation_dim(env.observation)
-    states = np.empty((EPISODE_STEPS, STATE_DIM))
-    obs_arr = np.empty((N_AGENTS, EPISODE_STEPS, obs_dim))
-    actions = np.empty((N_AGENTS, EPISODE_STEPS, ACTION_DIM))
-    log_probs = np.empty((N_AGENTS, EPISODE_STEPS))
-    team_rewards = np.empty(EPISODE_STEPS)
-    agent_rewards = np.empty((N_AGENTS, EPISODE_STEPS))
-    n_values = N_AGENTS if independent else 1
-    values = np.empty((n_values, EPISODE_STEPS))
-    records: list[StepRecord] = []
+) -> tuple[_Episode, LogRow]:
+    """Sample and evaluate one day in a single pass over its 24 known states.
 
-    state = env.reset()
-    for t in range(EPISODE_STEPS):
-        states[t] = state
-        per_agent = env.agent_obs(state)
-        for k in range(N_AGENTS):
-            obs_arr[k, t] = per_agent[k]
-            actions[k, t], log_probs[k, t] = actors[k].act(per_agent[k], rng)
-        if independent:
-            for k in range(N_AGENTS):
-                values[k, t] = critics[k].value(per_agent[k])
-        else:
-            values[0, t] = critics[0].value(state)
-        state, reward, done, record = env.step(actions[:, t, :])
-        team_rewards[t] = reward
-        agent_rewards[:, t] = record.agent_rewards(env.reward_params)
-        records.append(record)
-
+    The loads and wind do not depend on the actions, so every state is known
+    before the first action: one forward per network over all steps, one
+    noise draw and one ``evaluate_day``.  Each number equals the one a
+    step-by-step rollout would produce (see ``Mlp.forward_rows`` and
+    ``sample_action``), so training is unchanged bit for bit.
+    """
+    obs = env.observations
+    means = np.stack([actor.net.forward_rows(obs[k]) for k, actor in enumerate(actors)], axis=1)
+    log_std = np.stack([actor.clamped_log_std() for actor in actors])
+    actions, log_probs = sample_action(means, log_std, rng)
+    critic_inputs = obs if independent else [env.states]
+    values = np.stack([critic.net.forward_rows(x)[:, 0] for critic, x in zip(critics, critic_inputs)])
+    day = evaluate_day(env.scenario, actions, env.system_cfg, env.reward_params, env.mode, env.dt)
     row_stats = LogRow(
         episode=-1,
-        mean_reward=float(team_rewards.mean()),
-        total_cost=float(sum(r.cost_total for r in records)),
-        total_penalty=float(sum(r.penalty_total for r in records)),
-        curtailment_kwh=float(sum(r.curtailed_total for r in records)) * env.dt,
+        mean_reward=float(day.team_reward.mean()),
+        total_cost=day_total(day.cost),
+        total_penalty=day_total(day.penalty),
+        curtailment_kwh=day_total(day.curtailed) * env.dt,
     )
-    episode = _Episode(states, obs_arr, actions, log_probs, team_rewards, agent_rewards, values)
-    return episode, row_stats, records
+    episode = _Episode(
+        env.states,
+        obs,
+        actions.transpose(1, 0, 2),
+        log_probs.T,
+        day.team_reward,
+        day.agent_reward.T,
+        values,
+    )
+    return episode, row_stats
 
 
 def _update(
@@ -443,7 +438,7 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
     buffered_steps = 0
     log: list[LogRow] = []
     for episode in range(cfg.episodes):
-        ep, stats, _ = _collect_episode(env, actors, critics, rng, independent)
+        ep, stats = _collect_episode(env, actors, critics, rng, independent)
         buffer.append(ep)
         buffered_steps += EPISODE_STEPS
         if buffered_steps >= cfg.batch:
@@ -485,17 +480,16 @@ def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
 
 
 def greedy_rollout(env: DispatchEnv, actors: Sequence[GaussianActor]) -> list[StepRecord]:
-    """One deterministic episode driven by the policy means, no sampling."""
-    records = []
-    state = env.reset()
-    for _ in range(EPISODE_STEPS):
-        per_agent = env.agent_obs(state)
-        actions = np.stack([actors[k].mean_action(per_agent[k]) for k in range(N_AGENTS)])
-        state, _, done, record = env.step(actions)
-        records.append(record)
-        if done:
-            break
-    return records
+    """One deterministic episode driven by the policy means, no sampling.
+
+    Each step is evaluated by the scalar ``evaluate_step``, whose records
+    carry every setpoint the schedule writer needs.
+    """
+    means = np.stack([actor.net.forward_rows(env.observations[k]) for k, actor in enumerate(actors)], axis=1)
+    return [
+        evaluate_step(env.scenario, t, means[t], env.system_cfg, env.reward_params, env.mode, env.dt)
+        for t in range(EPISODE_STEPS)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ oracle used as an optimization-free baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,6 +167,35 @@ def _clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add strictly left to right, starting from 0.0.
+
+    The array day path (``env.evaluate_day``) adds in this order, so the
+    scalar path must too: ``np.sum`` adds pairwise, and Python's ``sum``
+    compensates rounding from 3.12 on.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def water_rate_cap(p_tp, kwh_per_m3, w_cap):
+    """Largest water rate the gross cogeneration output ``p_tp`` can pump.
+
+    ``min(w_cap, p_tp / kwh_per_m3)``, lowered one ulp at a time until
+    ``kwh_per_m3 * cap <= p_tp`` holds exactly: the quotient can round up,
+    and the net output ``p_tp - kwh_per_m3 * w_rate`` would then come out
+    just below zero.  Takes floats or arrays.
+    """
+    cap = np.minimum(w_cap, p_tp / kwh_per_m3)
+    over = kwh_per_m3 * cap > p_tp
+    while np.any(over):
+        cap = np.where(over, np.nextafter(cap, -np.inf), cap)
+        over = kwh_per_m3 * cap > p_tp
+    return cap
+
+
 def clip_to_limits(
     decision: DispatchDecision,
     cfg: CommunityConfig,
@@ -181,7 +210,7 @@ def clip_to_limits(
     """
     chp, ro, gt, gb = cfg.chp, cfg.ro, cfg.gt, cfg.gb
     p_tp = _clamp(decision.p_tp, ro.p_tp_min, ro.p_tp_max)
-    w_hi = min(ro.w_max / dt, p_tp / ro.kwh_per_m3)
+    w_hi = float(water_rate_cap(p_tp, ro.kwh_per_m3, ro.w_max / dt))
     p_exch, h_exch = decision.p_exch, decision.h_exch
     if limits is not None:
         p_exch = _clamp(p_exch, -limits.p_max, limits.p_max)
@@ -219,9 +248,9 @@ def project_exchanges(
         v = [float(x) for x in values]
         if len(v) != N_COMMUNITIES:
             raise ValueError(f"expected {N_COMMUNITIES} exchange values, got {len(v)}")
-        mean = sum(v) / len(v)
+        mean = left_sum(v) / len(v)
         v = [x - mean for x in v]
-        total = sum(abs(x) for x in v)
+        total = left_sum(abs(x) for x in v)
         cap = 2.0 * bound
         if total > cap and total > 0.0:
             scale = cap / total

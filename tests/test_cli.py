@@ -114,6 +114,20 @@ class TestTrainEvaluate:
             assert float(row["p_exch_kw"]) == 0.0
             assert float(row["h_exch_kw"]) == 0.0
 
+    def test_train_with_kwh_per_m3_not_a_power_of_two(self, workspace, capsys):
+        # q * (p_tp / q) can exceed p_tp by one ulp; the water cap must not
+        # let the pumping demand overdraw the cogeneration output.
+        tmp, _, scenario = workspace
+        cfg = tmp / "q73.yaml"
+        communities = ", ".join(["{ro: {kwh_per_m3: 7.3}}"] * 3)
+        cfg.write_text(SMOKE_CONFIG + f"system: {{communities: [{communities}]}}\n", encoding="utf-8")
+        for seed in range(4):
+            code = main([
+                "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(tmp / f"run{seed}"),
+                "--episodes", "40", "--seed", str(seed),
+            ])
+            assert code == 0, capsys.readouterr().err
+
     def test_config_hash_mismatch_rejected(self, workspace, capsys):
         tmp, cfg, scenario = workspace
         run = tmp / "run"

@@ -56,6 +56,18 @@ class TestGaussianDensity:
         action, _ = sample_action(mean, np.full(2, -100.0), np.random.default_rng(0))
         np.testing.assert_array_equal(action, mean)
 
+    def test_one_day_draw_equals_draws_step_by_step(self):
+        rng = np.random.default_rng(1)
+        mean = rng.normal(size=(24, 3, 8))
+        log_std = rng.uniform(-2.0, 0.0, (3, 8))
+        actions, log_probs = sample_action(mean, log_std, np.random.default_rng(9))
+        step_rng = np.random.default_rng(9)
+        for t in range(24):
+            for k in range(3):
+                action, log_prob = sample_action(mean[t, k], log_std[k], step_rng)
+                np.testing.assert_array_equal(actions[t, k], action)
+                assert log_probs[t, k] == log_prob
+
 
 class TestProbRatio:
     def test_identical_policies_give_exactly_one(self):

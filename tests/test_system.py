@@ -1,6 +1,7 @@
 """Tests for clipping, exchange projection, balances, cost and the oracle."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from iesdispatch.system import (
     power_balance,
     project_exchanges,
     total_cost,
+    water_rate_cap,
 )
 from iesdispatch.thermal import pipeline_heat_loss, required_heat_supply
 
@@ -58,6 +60,21 @@ class TestClipToLimits:
         assert clipped.p_tp == 400.0
         assert clipped.w_rate == pytest.approx(50.0)
         assert clipped.p_tp - CFG.ro.kwh_per_m3 * clipped.w_rate >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_tp=st.floats(0.0, 5000.0, allow_nan=False),
+        q=st.sampled_from([7.3, 8.0, 9.7, 3.0, 0.1]),
+    )
+    def test_water_cap_never_overdraws_gross_power(self, p_tp, q):
+        # p_tp / q can round up, so the cap is lowered until q * cap <= p_tp
+        # holds exactly, and no further.
+        cap = float(water_rate_cap(p_tp, q, 1e12))
+        assert q * cap <= p_tp
+        assert cap == p_tp / q or q * math.nextafter(cap, math.inf) > p_tp
+        cfg = dataclasses.replace(CFG, ro=dataclasses.replace(CFG.ro, kwh_per_m3=q))
+        clipped = clip_to_limits(make_decision(p_tp=p_tp, w_rate=1e12), cfg)
+        assert clipped.p_tp - q * clipped.w_rate >= 0.0
 
     def test_exchange_clamped_when_limits_given(self):
         clipped = clip_to_limits(make_decision(p_exch=2500.0, h_exch=-1700.0), CFG, LIMITS)
