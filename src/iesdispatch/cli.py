@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import learner as L
 from .config import ConfigError, RunConfig, config_hash, load_config
-from .env import EPISODE_STEPS, DispatchEnv, StepRecord, step_reward
+from .env import DispatchEnv, StepRecord, settle_day
 from .scenario import (
     ScenarioData,
     ScenarioFormatError,
@@ -31,8 +31,9 @@ from .system import (
     CommunityLoads,
     SystemConfig,
     assert_within_limits,
+    left_sum,
     oracle_dispatch,
-    power_balance,
+    setpoint_rows,
 )
 
 SCHEDULE_COLUMNS = (
@@ -109,7 +110,7 @@ def summarize_rows(rows: Sequence[dict], dt: float = 1.0) -> dict:
         totals["wind_used_kwh"] += row["wind_used_kw"] * dt
         totals["curtailed_kwh"] += row["curtailed_kw"] * dt
         exchange_abs += abs(row["p_exch_kw"]) + abs(row["h_exch_kw"])
-    total_cost = sum(per_community.values())
+    total_cost = left_sum(per_community.values())
     avail = totals["wind_avail_kwh"]
     return {
         "per_community_cost": per_community,
@@ -180,7 +181,7 @@ def write_reward_curve(path: Path, log: Sequence[L.LogRow], window: int = 50) ->
         rewards = [row.mean_reward for row in log]
         for i, row in enumerate(log):
             lo = max(0, i + 1 - window)
-            avg = sum(rewards[lo : i + 1]) / (i + 1 - lo)
+            avg = left_sum(rewards[lo : i + 1]) / (i + 1 - lo)
             writer.writerow([row.episode, _fmt(row.mean_reward), _fmt(avg)])
 
 
@@ -240,9 +241,8 @@ def cmd_train(args) -> int:
 
 
 def _evaluate_checkpoint(
-    checkpoint_path: str, cfg: RunConfig, scenario: ScenarioData
-) -> tuple[list[StepRecord], L.Checkpoint]:
-    ckpt = L.load_checkpoint(checkpoint_path)
+    checkpoint_path: str, ckpt: L.Checkpoint, cfg: RunConfig, scenario: ScenarioData
+) -> list[StepRecord]:
     if ckpt.config_hash != config_hash(cfg):
         raise CheckpointMismatch(
             f"checkpoint {checkpoint_path} was trained under a different system configuration"
@@ -256,13 +256,14 @@ def _evaluate_checkpoint(
         scales=ckpt.scales,
         dt=cfg.system.price.dt,
     )
-    return L.greedy_rollout(env, ckpt.actors), ckpt
+    return L.greedy_rollout(env, ckpt.actors)
 
 
 def cmd_evaluate(args) -> int:
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
-    records, ckpt = _evaluate_checkpoint(args.checkpoint, cfg, scenario)
+    ckpt = L.load_checkpoint(args.checkpoint)
+    records = _evaluate_checkpoint(args.checkpoint, ckpt, cfg, scenario)
     out = Path(args.out)
     rows = write_schedule_csv(out / "schedule.csv", records, cfg.system, cfg.system.price.dt)
     summary = summarize_rows(rows, cfg.system.price.dt)
@@ -281,8 +282,8 @@ def cmd_compare(args) -> int:
     ckpt_b = L.load_checkpoint(args.checkpoint_b)
     if ckpt_a.config_hash != ckpt_b.config_hash:
         raise CheckpointMismatch("checkpoints were trained under different system configurations")
-    records_a, _ = _evaluate_checkpoint(args.checkpoint_a, cfg, scenario)
-    records_b, _ = _evaluate_checkpoint(args.checkpoint_b, cfg, scenario)
+    records_a = _evaluate_checkpoint(args.checkpoint_a, ckpt_a, cfg, scenario)
+    records_b = _evaluate_checkpoint(args.checkpoint_b, ckpt_b, cfg, scenario)
     summary_a = summarize_rows(schedule_rows(records_a), cfg.system.price.dt)
     summary_b = summarize_rows(schedule_rows(records_b), cfg.system.price.dt)
     delta_total = summary_b["total_cost"] - summary_a["total_cost"]
@@ -322,7 +323,7 @@ def cmd_oracle(args) -> int:
         step = oracle_dispatch(loads, wind, cfg.system, grid_n=args.grid_n, dt=dt)
         if not step.feasible:
             infeasible_steps.append(t)
-        records.append(_oracle_record(step, loads, wind, cfg, t))
+        records.append(_oracle_record(step, scenario, cfg, t))
     out = Path(args.out)
     rows = write_schedule_csv(out / "oracle_schedule.csv", records, cfg.system, dt)
     summary = summarize_rows(rows, dt)
@@ -334,22 +335,10 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _oracle_record(step, loads, wind, cfg: RunConfig, t: int) -> StepRecord:
-    system = cfg.system
-    balances = tuple(
-        power_balance(step.decisions[i], loads[i], wind[i], system.communities[i], system.options, system.price.dt)
-        for i in range(N_COMMUNITIES)
-    )
-    reward = step_reward(step.cost.total, [b.penalty for b in balances], cfg.reward)
-    return StepRecord(
-        t=t,
-        decisions=step.decisions,
-        balances=balances,
-        costs=step.cost.per_community,
-        wind_avail=tuple(wind),
-        reward=reward,
-        done=t == EPISODE_STEPS - 1,
-    )
+def _oracle_record(step, scenario: ScenarioData, cfg: RunConfig, t: int) -> StepRecord:
+    """The oracle's step t, settled and priced by the kernels that evaluate a policy."""
+    setpoints = setpoint_rows(step.decisions)[None]
+    return settle_day(scenario, [t], setpoints, cfg.system, cfg.reward, cfg.system.price.dt).records(t)[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

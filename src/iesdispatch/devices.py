@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class LimitViolation(ValueError):
     """An operating point lies outside a device's permitted range."""
@@ -168,14 +170,14 @@ def chp_heat_output(params: ChpParams, p: float, b: float) -> float:
     return b * p
 
 
-def gas_cost(output_kw: float, eta: float, price: FuelPrice) -> float:
+def gas_cost(output_kw, eta, price: FuelPrice):
     """Fuel cost (currency) of producing ``output_kw`` for one interval.
 
     Linear and homogeneous in the output:
-    gas_price * output / (eta * hhv) * dt.
+    gas_price * output / (eta * hhv) * dt.  Takes floats or arrays.
     """
-    if output_kw < 0.0:
-        raise ValueError(f"output must be nonnegative, got {output_kw}")
-    if not 0.0 < eta <= 1.0:
+    if np.any(np.less(output_kw, 0.0)):
+        raise ValueError(f"output must be nonnegative, got {np.min(output_kw)}")
+    if not np.all(np.greater(eta, 0.0) & np.less_equal(eta, 1.0)):
         raise ValueError(f"eta must be in (0, 1], got {eta}")
     return price.gas_price * output_kw / (eta * price.hhv) * price.dt

@@ -6,10 +6,10 @@ communities; each community is an agent holding an 8-entry action in
 the joint action, projects the exchanges, evaluates balances and fuel
 cost, and returns a shared scalar reward.  No action changes the loads or
 the wind, so a whole day of joint actions can also be evaluated at once:
-``evaluate_day`` does so with arrays, and ``evaluate_step`` is its scalar
-reference.  The environment is a value machine: independent instances
-can run in parallel, a single instance is not shared between concurrent
-callers.
+``evaluate_day`` and ``evaluate_step`` run the same array kernels of
+``system`` over 24 steps or over one.  The environment is a value
+machine: independent instances can run in parallel, a single instance is
+not shared between concurrent callers.
 
 Action layout per agent (all in [-1, 1]):
   0 CHP electric output      4 gas-turbine output
@@ -23,27 +23,31 @@ controlled through its gross output so its limit stays a plain box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .scenario import N_STEPS, ScenarioData
 from .system import (
+    H_EXCH,
+    P_EXCH,
     BalanceResult,
     CommunityConfig,
-    CommunityLoads,
     DispatchDecision,
     ExchangeLimits,
+    Settlement,
     SystemConfig,
-    clip_to_limits,
-    community_cost,
+    affine_setpoints,
+    clip_box,
+    fuel_cost,
     left_sum,
-    power_balance,
-    project_exchanges,
-    water_rate_cap,
+    power_balance,  # noqa: F401  (still importable from here, as the benchmark's tracer test reads it)
+    project_rows,
+    setpoint_box,
+    settle,
+    sum_last,
 )
-from .thermal import KJ_PER_KWH, WATER_DENSITY, pipeline_heat_loss
 
 N_AGENTS = 3
 STATE_DIM = 12
@@ -124,6 +128,13 @@ def observation_dim(observation: str) -> int:
     return STATE_DIM if observation == "full" else 4
 
 
+def _action(action: Sequence[float]) -> np.ndarray:
+    a = np.asarray(action, dtype=float)
+    if a.shape != (ACTION_DIM,):
+        raise ValueError(f"action must have {ACTION_DIM} entries, got shape {a.shape}")
+    return a
+
+
 def action_to_setpoints(
     action: Sequence[float],
     cfg: CommunityConfig,
@@ -135,23 +146,8 @@ def action_to_setpoints(
     The map is a bijection between the action box and the setpoint boxes;
     endpoint actions land exactly on the device limits.
     """
-    a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-    if a.shape != (ACTION_DIM,):
-        raise ValueError(f"action must have {ACTION_DIM} entries, got shape {a.shape}")
-
-    def lin(u: float, lo: float, hi: float) -> float:
-        return float(lo + (u + 1.0) * 0.5 * (hi - lo))
-
-    return DispatchDecision(
-        p_chp=lin(a[0], cfg.chp.p_min, cfg.chp.p_max),
-        b_chp=lin(a[1], cfg.chp.b_min, cfg.chp.b_max),
-        p_tp=lin(a[2], cfg.ro.p_tp_min, cfg.ro.p_tp_max),
-        w_rate=lin(a[3], 0.0, cfg.ro.w_max / dt),
-        p_gt=lin(a[4], cfg.gt.out_min, cfg.gt.out_max),
-        h_gb=lin(a[5], cfg.gb.out_min, cfg.gb.out_max),
-        p_exch=lin(a[6], -limits.p_max, limits.p_max),
-        h_exch=lin(a[7], -limits.h_max, limits.h_max),
-    )
+    lo, hi = setpoint_box(cfg.fleet, limits, dt)
+    return DispatchDecision(*affine_setpoints(_action(action), lo, hi)[0].tolist())
 
 
 def decode_action(
@@ -161,12 +157,18 @@ def decode_action(
     dt: float = 1.0,
 ) -> DispatchDecision:
     """Affine decode followed by clipping into the feasible boxes."""
-    return clip_to_limits(action_to_setpoints(action, cfg, limits, dt), cfg, limits, dt)
+    lo, hi = setpoint_box(cfg.fleet, limits, dt)
+    x = clip_box(affine_setpoints(_action(action), lo, hi), lo, hi, cfg.fleet.q)
+    return DispatchDecision(*x[0].tolist())
+
+
+def _reward(cost, penalty, params: RewardParams):
+    return params.u - (cost + params.kappa * penalty) / params.z
 
 
 def step_reward(cost: float, penalties: Sequence[float], params: RewardParams) -> float:
     """Shared team reward for one step; bounded above by ``params.u``."""
-    return params.u - (cost + params.kappa * float(left_sum(penalties))) / params.z
+    return _reward(cost, float(left_sum(penalties)), params)
 
 
 @dataclass(frozen=True)
@@ -193,12 +195,89 @@ class StepRecord:
     def curtailed_total(self) -> float:
         return left_sum(b.curtailed for b in self.balances)
 
-    def agent_rewards(self, params: RewardParams) -> tuple[float, ...]:
-        """Per-community rewards used when each community learns alone."""
-        return tuple(
-            params.u - (self.costs[i] + params.kappa * self.balances[i].penalty) / params.z
-            for i in range(len(self.costs))
-        )
+
+@dataclass(frozen=True)
+class DayEvaluation:
+    """Evaluated joint actions as arrays over their steps.
+
+    ``setpoints`` (T, 3, 8) are the decoded, clipped and projected
+    setpoints in ``system.SETPOINTS`` order, ``team_reward`` has shape
+    (T,), and ``wind``, ``cost``, ``agent_reward`` and the fields of
+    ``balance`` have shape (T, 3), one column per community in id order.
+    """
+
+    setpoints: np.ndarray
+    wind: np.ndarray
+    balance: Settlement
+    cost: np.ndarray
+    team_reward: np.ndarray
+    agent_reward: np.ndarray
+
+    def records(self, first_step: int = 0) -> list[StepRecord]:
+        """One ``StepRecord`` per step, numbered from ``first_step``; each
+        decision's ``wind_used`` is its available wind less the curtailment."""
+        setpoints, wind, cost, reward = (a.tolist() for a in (self.setpoints, self.wind, self.cost, self.team_reward))
+        wind_used = (self.wind - self.balance.curtailed).tolist()
+        balances = np.stack(self.balance, axis=-1).tolist()
+        return [
+            StepRecord(
+                t=first_step + k,
+                decisions=tuple(DispatchDecision(*x, wind_used=used) for x, used in zip(setpoints[k], wind_used[k])),
+                balances=tuple(BalanceResult(*b) for b in balances[k]),
+                costs=tuple(cost[k]),
+                wind_avail=tuple(wind[k]),
+                reward=reward[k],
+                done=first_step + k == EPISODE_STEPS - 1,
+            )
+            for k in range(len(setpoints))
+        ]
+
+
+def day_total(x: np.ndarray) -> float:
+    """Total of a (24, 3) array, added as the ``StepRecord`` totals of
+    the steps would be: each step's communities, then the steps, left to right."""
+    return float(left_sum(sum_last(x).tolist()))
+
+
+def decode_joint(actions: np.ndarray, system_cfg: SystemConfig, mode: str, dt: float) -> np.ndarray:
+    """Setpoints (..., 3, 8) of joint actions (..., 3, 8): clamp, affine map
+    and box clip, then the exchanges projected onto conservation, or zeroed
+    in independent mode."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    fleet, limits = system_cfg.fleet, system_cfg.limits
+    lo, hi = setpoint_box(fleet, limits, dt)
+    x = clip_box(affine_setpoints(actions, lo, hi), lo, hi, fleet.q)
+    if mode == "independent":
+        x[..., P_EXCH:] = 0.0
+    else:
+        x[..., P_EXCH] = project_rows(x[..., P_EXCH], limits.p_max)
+        x[..., H_EXCH] = project_rows(x[..., H_EXCH], limits.h_max)
+    return x
+
+
+def settle_day(
+    scenario: ScenarioData,
+    steps,
+    setpoints: np.ndarray,
+    system_cfg: SystemConfig,
+    reward_params: RewardParams,
+    dt: float = 1.0,
+) -> DayEvaluation:
+    """Balance, price and reward setpoints (T, 3, 8) already in their boxes
+    against the scenario's loads and wind at ``steps`` (an index list or slice)."""
+    p_load, h_load, w_load, wind = (q[:, steps].T for q in (scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind))
+    fleet = system_cfg.fleet
+    balance = settle(setpoints, p_load, h_load, w_load, wind, fleet, system_cfg.options, dt)
+    cost = fuel_cost(setpoints, fleet, system_cfg.price)
+    return DayEvaluation(
+        setpoints=setpoints,
+        wind=wind,
+        balance=balance,
+        cost=cost,
+        team_reward=_reward(sum_last(cost), sum_last(balance.penalty), reward_params),
+        agent_reward=_reward(cost, balance.penalty, reward_params),
+    )
 
 
 def evaluate_step(
@@ -211,84 +290,11 @@ def evaluate_step(
     dt: float = 1.0,
 ) -> StepRecord:
     """Decode, project, balance and price one joint action. Deterministic."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     actions = np.asarray(actions, dtype=float)
     if actions.shape != (N_AGENTS, ACTION_DIM):
         raise ValueError(f"actions must have shape {(N_AGENTS, ACTION_DIM)}, got {actions.shape}")
-    cfgs = system_cfg.communities
-    limits = system_cfg.limits
-
-    decisions = [decode_action(actions[i], cfgs[i], limits, dt) for i in range(N_AGENTS)]
-    if mode == "independent":
-        decisions = [replace(d, p_exch=0.0, h_exch=0.0) for d in decisions]
-    p_exch, h_exch = project_exchanges(
-        [d.p_exch for d in decisions], [d.h_exch for d in decisions], limits.p_max, limits.h_max
-    )
-    decisions = [replace(d, p_exch=p_exch[i], h_exch=h_exch[i]) for i, d in enumerate(decisions)]
-
-    balances = []
-    final = []
-    costs = []
-    wind = []
-    for i, d in enumerate(decisions):
-        loads = CommunityLoads(
-            p_load=float(scenario.p_load[i, t]),
-            h_load=float(scenario.h_load[i, t]),
-            w_load=float(scenario.w_load[i, t]),
-        )
-        avail = float(scenario.p_wind[i, t])
-        bal = power_balance(d, loads, avail, cfgs[i], system_cfg.options, dt)
-        balances.append(bal)
-        final.append(replace(d, wind_used=avail - bal.curtailed))
-        costs.append(community_cost(d, cfgs[i], system_cfg.price))
-        wind.append(avail)
-
-    reward = step_reward(left_sum(costs), [b.penalty for b in balances], reward_params)
-    return StepRecord(
-        t=t,
-        decisions=tuple(final),
-        balances=tuple(balances),
-        costs=tuple(costs),
-        wind_avail=tuple(wind),
-        reward=reward,
-        done=t == EPISODE_STEPS - 1,
-    )
-
-
-@dataclass(frozen=True)
-class DayEvaluation:
-    """A whole day of evaluated joint actions, as arrays over its steps.
-
-    ``team_reward`` has shape (24,); the others have shape (24, 3), one
-    column per community in id order.
-    """
-
-    team_reward: np.ndarray
-    agent_reward: np.ndarray
-    cost: np.ndarray
-    penalty: np.ndarray
-    curtailed: np.ndarray
-
-
-def _row_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the three communities, left to right like ``left_sum``."""
-    return x[:, 0] + x[:, 1] + x[:, 2]
-
-
-def day_total(x: np.ndarray) -> float:
-    """Total of a (24, 3) array, added as the ``StepRecord`` totals of
-    the steps would be: each step's communities, then the steps, left to right."""
-    return float(left_sum(_row_sum(x).tolist()))
-
-
-def _project_rows(x: np.ndarray, bound: float) -> np.ndarray:
-    """``project_exchanges`` for each row of a (24, 3) array."""
-    v = x - (_row_sum(x) / N_AGENTS)[:, None]
-    total = _row_sum(np.abs(v))
-    cap = 2.0 * bound
-    shrink = (total > cap) & (total > 0.0)
-    return v * np.where(shrink, cap / np.where(shrink, total, 1.0), 1.0)[:, None]
+    setpoints = decode_joint(actions[None], system_cfg, mode, dt)
+    return settle_day(scenario, [t], setpoints, system_cfg, reward_params, dt).records(t)[0]
 
 
 def evaluate_day(
@@ -299,91 +305,12 @@ def evaluate_day(
     mode: str = "coordinated",
     dt: float = 1.0,
 ) -> DayEvaluation:
-    """``evaluate_step`` for all 24 steps at once, from actions of shape (24, 3, 8).
-
-    Each quantity goes through the same operations in the same order as
-    in the scalar path: clip, affine map, box clip, zero-sum projection,
-    balance, fuel cost, reward.  Sums over the communities run left to
-    right as ``left_sum`` does, never through ``np.sum``, so every result
-    equals ``evaluate_step``'s bit for bit.  ``evaluate_step`` stays the
-    reference; the tests hold the two equal.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    a = np.clip(np.asarray(actions, dtype=float), -1.0, 1.0)
-    if a.shape != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
-        raise ValueError(f"actions must have shape {(EPISODE_STEPS, N_AGENTS, ACTION_DIM)}, got {a.shape}")
-    cfgs = system_cfg.communities
-    limits, options, price = system_cfg.limits, system_cfg.options, system_cfg.price
-
-    def per_community(get) -> np.ndarray:
-        return np.array([get(c) for c in cfgs], dtype=float)
-
-    def setpoint(j: int, lo, hi) -> np.ndarray:
-        """action_to_setpoints' affine map of entry j, then clip_to_limits' clamp."""
-        return np.clip(lo + (a[:, :, j] + 1.0) * 0.5 * (hi - lo), lo, hi)
-
-    def fuel(output: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """devices.gas_cost, without its argument checks."""
-        return price.gas_price * output / (eta * price.hhv) * price.dt
-
-    q = per_community(lambda c: c.ro.kwh_per_m3)
-    p_chp = setpoint(0, per_community(lambda c: c.chp.p_min), per_community(lambda c: c.chp.p_max))
-    b_chp = setpoint(1, per_community(lambda c: c.chp.b_min), per_community(lambda c: c.chp.b_max))
-    p_tp = setpoint(2, per_community(lambda c: c.ro.p_tp_min), per_community(lambda c: c.ro.p_tp_max))
-    w_cap = per_community(lambda c: c.ro.w_max / dt)
-    w_rate = np.clip(0.0 + (a[:, :, 3] + 1.0) * 0.5 * (w_cap - 0.0), 0.0, water_rate_cap(p_tp, q, w_cap))
-    p_gt = setpoint(4, per_community(lambda c: c.gt.out_min), per_community(lambda c: c.gt.out_max))
-    h_gb = setpoint(5, per_community(lambda c: c.gb.out_min), per_community(lambda c: c.gb.out_max))
-    if mode == "independent":
-        p_exch = h_exch = np.zeros((EPISODE_STEPS, N_AGENTS))
-    else:
-        p_exch = _project_rows(setpoint(6, -limits.p_max, limits.p_max), limits.p_max)
-        h_exch = _project_rows(setpoint(7, -limits.h_max, limits.h_max), limits.h_max)
-
-    # power_balance
-    wind = scenario.p_wind.T
-    surplus = p_chp + (p_tp - q * w_rate) + p_gt + wind + p_exch - scenario.p_load.T
-    curtailed = np.minimum(wind, np.maximum(0.0, surplus))
-    d_elec = np.abs(surplus - curtailed)
-    h_chp = b_chp * p_chp
-    h_supply = h_chp + h_gb + h_exch
-    loss = per_community(lambda c: pipeline_heat_loss(c.pipeline))
-    if options.exchange_loss:
-        h_supply = np.where(h_exch < 0.0, h_supply - loss, h_supply)
-    if options.cap_heat_by_water:
-        # thermal.deliverable_heat_power, in its operation order
-        c_water = per_community(lambda c: c.pipeline.c_water)
-        t_drop = per_community(lambda c: c.pipeline.t_supply - c.pipeline.t_return)
-        carried = c_water * (w_rate * dt * WATER_DENSITY) * t_drop / KJ_PER_KWH / dt
-        h_supply = np.minimum(h_supply, carried)
-    h_load = scenario.h_load.T
-    h_demand = h_load + loss if options.gross_pipeline_loss else h_load
-    d_heat = np.abs(h_supply - h_demand)
-    d_water = np.abs(w_rate - scenario.w_load.T)
-    penalty = d_elec + d_heat + q * d_water
-
-    # community_cost
-    chp_eta = per_community(lambda c: c.chp.eta)
-    ro_eta = per_community(lambda c: c.ro.eta)
-    pump = q * w_rate
-    cost = (
-        fuel(p_chp, chp_eta)
-        + fuel(h_chp, chp_eta)
-        + fuel(p_tp - pump, ro_eta)
-        + fuel(pump, ro_eta)
-        + fuel(p_gt, per_community(lambda c: c.gt.eta))
-        + fuel(h_gb, per_community(lambda c: c.gb.eta))
-    )
-
-    u, kappa, z = reward_params.u, reward_params.kappa, reward_params.z
-    return DayEvaluation(
-        team_reward=u - (_row_sum(cost) + kappa * _row_sum(penalty)) / z,
-        agent_reward=u - (cost + kappa * penalty) / z,
-        cost=cost,
-        penalty=penalty,
-        curtailed=curtailed,
-    )
+    """``evaluate_step`` for all 24 steps at once, from actions of shape (24, 3, 8)."""
+    actions = np.asarray(actions, dtype=float)
+    if actions.shape != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
+        raise ValueError(f"actions must have shape {(EPISODE_STEPS, N_AGENTS, ACTION_DIM)}, got {actions.shape}")
+    setpoints = decode_joint(actions, system_cfg, mode, dt)
+    return settle_day(scenario, slice(None), setpoints, system_cfg, reward_params, dt)
 
 
 class DispatchEnv:

@@ -32,7 +32,6 @@ from .env import (
     StepRecord,
     day_total,
     evaluate_day,
-    evaluate_step,
     observation_dim,
 )
 from .nets import HIDDEN_UNITS, Adam, Mlp, clip_grads_
@@ -361,8 +360,8 @@ def _collect_episode(
         episode=-1,
         mean_reward=float(day.team_reward.mean()),
         total_cost=day_total(day.cost),
-        total_penalty=day_total(day.penalty),
-        curtailment_kwh=day_total(day.curtailed) * env.dt,
+        total_penalty=day_total(day.balance.penalty),
+        curtailment_kwh=day_total(day.balance.curtailed) * env.dt,
     )
     episode = _Episode(
         env.states,
@@ -480,16 +479,10 @@ def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
 
 
 def greedy_rollout(env: DispatchEnv, actors: Sequence[GaussianActor]) -> list[StepRecord]:
-    """One deterministic episode driven by the policy means, no sampling.
-
-    Each step is evaluated by the scalar ``evaluate_step``, whose records
-    carry every setpoint the schedule writer needs.
-    """
+    """One deterministic episode driven by the policy means, no sampling,
+    evaluated in one ``evaluate_day`` and returned as per-step records."""
     means = np.stack([actor.net.forward_rows(env.observations[k]) for k, actor in enumerate(actors)], axis=1)
-    return [
-        evaluate_step(env.scenario, t, means[t], env.system_cfg, env.reward_params, env.mode, env.dt)
-        for t in range(EPISODE_STEPS)
-    ]
+    return evaluate_day(env.scenario, means, env.system_cfg, env.reward_params, env.mode, env.dt).records()
 
 
 # ---------------------------------------------------------------------------

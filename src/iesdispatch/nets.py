@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from .system import left_sum
+
 HIDDEN_UNITS = 128
 
 
@@ -138,7 +140,7 @@ class Adam:
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    return math.sqrt(left_sum(float(np.sum(g * g)) for g in grads.values()))
 
 
 def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:

@@ -10,6 +10,7 @@ oracle used as an optimization-free baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -85,6 +86,11 @@ class CommunityConfig:
     def name(self) -> str:
         return COMMUNITY_NAMES[self.id]
 
+    @cached_property
+    def fleet(self) -> "Fleet":
+        """This community's parameters as the dispatch kernels read them."""
+        return fleet_of((self,))
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -101,6 +107,11 @@ class SystemConfig:
         ids = [c.id for c in self.communities]
         if sorted(ids) != sorted(COMMUNITY_NAMES):
             raise ValueError(f"community ids must be {sorted(COMMUNITY_NAMES)} in some order, got {ids}")
+
+    @cached_property
+    def fleet(self) -> "Fleet":
+        """The communities' parameters as the dispatch kernels read them, in config order."""
+        return fleet_of(self.communities)
 
 
 def default_system_config() -> SystemConfig:
@@ -160,19 +171,15 @@ class CostBreakdown:
     @classmethod
     def from_parts(cls, parts: Sequence[float]) -> "CostBreakdown":
         parts = tuple(float(p) for p in parts)
-        return cls(per_community=parts, total=sum(parts))
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
+        return cls(per_community=parts, total=left_sum(parts))
 
 
 def left_sum(values: Iterable[float]) -> float:
     """Add strictly left to right, starting from 0.0.
 
-    The array day path (``env.evaluate_day``) adds in this order, so the
-    scalar path must too: ``np.sum`` adds pairwise, and Python's ``sum``
-    compensates rounding from 3.12 on.
+    ``np.sum`` adds pairwise, and Python's ``sum`` compensates rounding
+    from 3.12 on; every total that reaches an artifact is added this way,
+    so the artifacts do not depend on the Python version.
     """
     total = 0.0
     for value in values:
@@ -190,10 +197,164 @@ def water_rate_cap(p_tp, kwh_per_m3, w_cap):
     """
     cap = np.minimum(w_cap, p_tp / kwh_per_m3)
     over = kwh_per_m3 * cap > p_tp
-    while np.any(over):
+    while over.any():
         cap = np.where(over, np.nextafter(cap, -np.inf), cap)
         over = kwh_per_m3 * cap > p_tp
     return cap
+
+
+# ---------------------------------------------------------------------------
+# Dispatch kernels
+# ---------------------------------------------------------------------------
+#
+# The one implementation of decode -> clip -> project -> balance -> price.
+# Setpoints are arrays (..., n, 8) over the steps and n communities, the
+# last axis in ``SETPOINTS`` order, which is also an action's; loads, wind
+# and results are (..., n).  A day and a single step go through the same
+# elementwise operations, so they agree bit for bit.  The scalar functions
+# below are adapters over these kernels.
+
+SETPOINTS = ("p_chp", "b_chp", "p_tp", "w_rate", "p_gt", "h_gb", "p_exch", "h_exch")
+P_TP, W_RATE, P_EXCH, H_EXCH = 2, 3, 6, 7
+
+
+class Fleet(NamedTuple):
+    """Device parameters of n communities as arrays, one entry per community.
+
+    Three of its fields are the ``PipelineParams`` fields that
+    ``thermal.deliverable_heat_power`` reads, so a fleet stands in for them.
+    ``boxes`` keeps the result of ``setpoint_box`` per limits and step length.
+    """
+
+    lo: np.ndarray        # (n, 8) setpoint lower limits; exchanges -inf until limits apply
+    hi: np.ndarray        # (n, 8) upper limits; w_rate's is w_max per step, exchanges +inf
+    q: np.ndarray         # kWh per m3 of fresh water
+    eta: np.ndarray       # (n, 6) efficiency of each output ``fuel_cost`` prices
+    loss: np.ndarray      # standing pipe loss, kW
+    c_water: np.ndarray
+    t_supply: np.ndarray
+    t_return: np.ndarray
+    boxes: dict
+
+
+def fleet_of(communities: Sequence[CommunityConfig]) -> Fleet:
+    rows = [
+        (
+            (c.chp.p_min, c.chp.b_min, c.ro.p_tp_min, 0.0, c.gt.out_min, c.gb.out_min, -np.inf, -np.inf),
+            (c.chp.p_max, c.chp.b_max, c.ro.p_tp_max, c.ro.w_max, c.gt.out_max, c.gb.out_max, np.inf, np.inf),
+            c.ro.kwh_per_m3,
+            (c.chp.eta, c.chp.eta, c.ro.eta, c.ro.eta, c.gt.eta, c.gb.eta),
+            pipeline_heat_loss(c.pipeline),
+            c.pipeline.c_water,
+            c.pipeline.t_supply,
+            c.pipeline.t_return,
+        )
+        for c in communities
+    ]
+    arrays = [np.array(column, dtype=float) for column in zip(*rows)]
+    for array in arrays:
+        array.setflags(write=False)
+    return Fleet(*arrays, boxes={})
+
+
+def setpoint_box(fleet: Fleet, limits: ExchangeLimits | None, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 8) lower and upper setpoint limits at step length ``dt``; the
+    exchanges within ``limits``, or unbounded without them.  Read-only."""
+    box = fleet.boxes.get((limits, dt))
+    if box is None:
+        lo, hi = fleet.lo.copy(), fleet.hi.copy()
+        hi[:, W_RATE] = hi[:, W_RATE] / dt
+        if limits is not None:
+            lo[:, P_EXCH], hi[:, P_EXCH] = -limits.p_max, limits.p_max
+            lo[:, H_EXCH], hi[:, H_EXCH] = -limits.h_max, limits.h_max
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        box = fleet.boxes[(limits, dt)] = (lo, hi)
+    return box
+
+
+def affine_setpoints(actions, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Clamp actions to [-1, 1] and map them affinely onto [lo, hi]."""
+    return lo + (np.minimum(np.maximum(actions, -1.0), 1.0) + 1.0) * 0.5 * (hi - lo)
+
+
+def clip_box(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Clamp setpoints into [lo, hi], the water rate also to what the
+    clamped gross cogeneration output can pump (``water_rate_cap``)."""
+    x = np.minimum(np.maximum(x, lo), hi)
+    x[..., W_RATE] = np.minimum(x[..., W_RATE], water_rate_cap(x[..., P_TP], q, hi[:, W_RATE]))
+    return x
+
+
+def sum_last(x: np.ndarray) -> np.ndarray:
+    """``left_sum`` over the last axis (``np.sum`` would add pairwise)."""
+    return left_sum(np.moveaxis(x, -1, 0))
+
+
+def project_rows(v: np.ndarray, bound) -> np.ndarray:
+    """Project exchange vectors (..., n) onto the conservation constraints.
+
+    Subtracting the mean makes each vector sum to zero; if the summed
+    magnitudes then exceed twice the limit, the whole vector is scaled
+    uniformly, which preserves the zero sum.  A zero-sum vector whose
+    magnitudes fit the limit passes through unchanged.  Because the result
+    is zero-sum with sum(|x|) <= 2*limit, every component also satisfies
+    |x_i| <= limit.  ``bound`` broadcasts against the leading axes.
+    """
+    v = v - (sum_last(v) / v.shape[-1])[..., None]
+    total = sum_last(np.abs(v))
+    cap = 2.0 * np.asarray(bound)
+    scale = np.divide(cap, total, out=np.ones_like(total), where=(total > cap) & (total > 0.0))
+    return v * scale[..., None]
+
+
+class Settlement(NamedTuple):
+    """Balance residuals after free wind curtailment, as ``BalanceResult``
+    holds them, each an array (..., n)."""
+
+    d_elec: np.ndarray
+    d_heat: np.ndarray
+    d_water: np.ndarray
+    curtailed: np.ndarray
+    penalty: np.ndarray
+
+
+def settle(x, p_load, h_load, w_load, wind, fleet: Fleet, options: BalanceOptions, dt: float) -> Settlement:
+    """Balance residuals of setpoints against loads and available wind.
+
+    Any electric surplus up to the available wind is absorbed by curtailing
+    wind at no penalty; what remains on either side counts toward the
+    kW-equivalent penalty together with the heat and water residuals.
+    """
+    p_chp, b_chp, p_tp, w_rate, p_gt, h_gb, p_exch, h_exch = np.moveaxis(x, -1, 0)
+    q = fleet.q
+    surplus = p_chp + (p_tp - q * w_rate) + p_gt + wind + p_exch - p_load
+    curtailed = np.minimum(wind, np.maximum(0.0, surplus))
+    d_elec = np.abs(surplus - curtailed)
+
+    h_supply = b_chp * p_chp + h_gb + h_exch
+    if options.exchange_loss:
+        h_supply = np.where(h_exch < 0.0, h_supply - fleet.loss, h_supply)
+    if options.cap_heat_by_water:
+        h_supply = np.minimum(h_supply, deliverable_heat_power(fleet, w_rate, dt))
+    h_demand = required_heat_supply(h_load, fleet.loss) if options.gross_pipeline_loss else h_load
+    d_heat = np.abs(h_supply - h_demand)
+
+    d_water = np.abs(w_rate - w_load)
+    return Settlement(d_elec, d_heat, d_water, curtailed, d_elec + d_heat + q * d_water)
+
+
+def fuel_cost(x, fleet: Fleet, price: FuelPrice) -> np.ndarray:
+    """Fuel cost (..., n) of setpoints; exchanged energy is unpriced."""
+    p_chp, b_chp, p_tp, w_rate, p_gt, h_gb = np.moveaxis(x[..., :P_EXCH], -1, 0)
+    pump = fleet.q * w_rate
+    outputs = np.stack([p_chp, b_chp * p_chp, p_tp - pump, pump, p_gt, h_gb], axis=-1)
+    return sum_last(gas_cost(outputs, fleet.eta, price))
+
+
+def setpoint_rows(decisions: Sequence[DispatchDecision]) -> np.ndarray:
+    """(n, 8) setpoints of decisions, one row each."""
+    return np.array([[getattr(d, name) for name in SETPOINTS] for d in decisions], dtype=float)
 
 
 def clip_to_limits(
@@ -208,24 +369,9 @@ def clip_to_limits(
     output, so the unit never exports negative power: after clipping,
     p_tp - kwh_per_m3 * w_rate >= 0 holds.
     """
-    chp, ro, gt, gb = cfg.chp, cfg.ro, cfg.gt, cfg.gb
-    p_tp = _clamp(decision.p_tp, ro.p_tp_min, ro.p_tp_max)
-    w_hi = float(water_rate_cap(p_tp, ro.kwh_per_m3, ro.w_max / dt))
-    p_exch, h_exch = decision.p_exch, decision.h_exch
-    if limits is not None:
-        p_exch = _clamp(p_exch, -limits.p_max, limits.p_max)
-        h_exch = _clamp(h_exch, -limits.h_max, limits.h_max)
-    return DispatchDecision(
-        p_chp=_clamp(decision.p_chp, chp.p_min, chp.p_max),
-        b_chp=_clamp(decision.b_chp, chp.b_min, chp.b_max),
-        p_tp=p_tp,
-        w_rate=_clamp(decision.w_rate, 0.0, w_hi),
-        p_gt=_clamp(decision.p_gt, gt.out_min, gt.out_max),
-        h_gb=_clamp(decision.h_gb, gb.out_min, gb.out_max),
-        p_exch=p_exch,
-        h_exch=h_exch,
-        wind_used=max(0.0, decision.wind_used),
-    )
+    lo, hi = setpoint_box(cfg.fleet, limits, dt)
+    x = clip_box(setpoint_rows([decision]), lo, hi, cfg.fleet.q)
+    return DispatchDecision(*x[0].tolist(), wind_used=max(0.0, decision.wind_used))
 
 
 def project_exchanges(
@@ -234,30 +380,12 @@ def project_exchanges(
     p_max: float,
     h_max: float,
 ) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Project raw exchange vectors onto the conservation constraints.
-
-    Subtracting the mean makes each vector sum to zero; if the summed
-    magnitudes then exceed twice the limit, the whole vector is scaled
-    uniformly, which preserves the zero sum.  A zero-sum vector whose
-    magnitudes fit the limit passes through unchanged.  Because the result
-    is zero-sum with sum(|x|) <= 2*limit, every component also satisfies
-    |x_i| <= limit.
-    """
-
-    def _project(values: Sequence[float], bound: float) -> tuple[float, float, float]:
-        v = [float(x) for x in values]
-        if len(v) != N_COMMUNITIES:
-            raise ValueError(f"expected {N_COMMUNITIES} exchange values, got {len(v)}")
-        mean = left_sum(v) / len(v)
-        v = [x - mean for x in v]
-        total = left_sum(abs(x) for x in v)
-        cap = 2.0 * bound
-        if total > cap and total > 0.0:
-            scale = cap / total
-            v = [x * scale for x in v]
-        return (v[0], v[1], v[2])
-
-    return _project(p_exch, p_max), _project(h_exch, h_max)
+    """Project raw exchange vectors onto the conservation constraints (see ``project_rows``)."""
+    v = np.array([p_exch, h_exch], dtype=float)
+    if v.shape != (2, N_COMMUNITIES):
+        raise ValueError(f"expected {N_COMMUNITIES} exchange values per carrier, got shape {v.shape[1:]}")
+    p, h = project_rows(v, [p_max, h_max]).tolist()
+    return tuple(p), tuple(h)
 
 
 def power_balance(
@@ -268,44 +396,14 @@ def power_balance(
     options: BalanceOptions = BalanceOptions(),
     dt: float = 1.0,
 ) -> BalanceResult:
-    """Balance residuals of one community, with free wind curtailment.
-
-    Any electric surplus up to the available wind is absorbed by curtailing
-    wind at no penalty; what remains on either side counts toward the
-    kW-equivalent penalty together with the heat and water residuals.
-    """
-    q = cfg.ro.kwh_per_m3
-    gen = decision.p_chp + (decision.p_tp - q * decision.w_rate) + decision.p_gt
-    surplus = gen + wind_avail + decision.p_exch - loads.p_load
-    curtailed = min(wind_avail, max(0.0, surplus))
-    d_elec = abs(surplus - curtailed)
-
-    h_supply = decision.h_chp + decision.h_gb + decision.h_exch
-    if options.exchange_loss and decision.h_exch < 0.0:
-        h_supply -= pipeline_heat_loss(cfg.pipeline)
-    if options.cap_heat_by_water:
-        h_supply = min(h_supply, deliverable_heat_power(cfg.pipeline, decision.w_rate, dt))
-    h_demand = loads.h_load
-    if options.gross_pipeline_loss:
-        h_demand = required_heat_supply(loads.h_load, pipeline_heat_loss(cfg.pipeline))
-    d_heat = abs(h_supply - h_demand)
-
-    d_water = abs(decision.w_rate - loads.w_load)
-    penalty = d_elec + d_heat + q * d_water
-    return BalanceResult(d_elec=d_elec, d_heat=d_heat, d_water=d_water, curtailed=curtailed, penalty=penalty)
+    """Balance residuals of one community, with free wind curtailment (see ``settle``)."""
+    s = settle(setpoint_rows([decision]), loads.p_load, loads.h_load, loads.w_load, wind_avail, cfg.fleet, options, dt)
+    return BalanceResult(*(float(v[0]) for v in s))
 
 
 def community_cost(decision: DispatchDecision, cfg: CommunityConfig, price: FuelPrice) -> float:
     """Fuel cost of one community's dispatch; exchanged energy is unpriced."""
-    pump = cfg.ro.kwh_per_m3 * decision.w_rate
-    return (
-        gas_cost(decision.p_chp, cfg.chp.eta, price)
-        + gas_cost(decision.h_chp, cfg.chp.eta, price)
-        + gas_cost(decision.p_tp - pump, cfg.ro.eta, price)
-        + gas_cost(pump, cfg.ro.eta, price)
-        + gas_cost(decision.p_gt, cfg.gt.eta, price)
-        + gas_cost(decision.h_gb, cfg.gb.eta, price)
-    )
+    return float(fuel_cost(setpoint_rows([decision]), cfg.fleet, price)[0])
 
 
 def total_cost(
@@ -328,19 +426,11 @@ def assert_within_limits(
     tol: float = 1e-9,
 ) -> None:
     """Raise if any setpoint leaves its box; used to re-validate exports."""
-    checks = [
-        ("p_chp", decision.p_chp, cfg.chp.p_min, cfg.chp.p_max),
-        ("b_chp", decision.b_chp, cfg.chp.b_min, cfg.chp.b_max),
-        ("p_tp", decision.p_tp, cfg.ro.p_tp_min, cfg.ro.p_tp_max),
-        ("w_rate", decision.w_rate, 0.0, cfg.ro.w_max / dt),
-        ("p_gt", decision.p_gt, cfg.gt.out_min, cfg.gt.out_max),
-        ("h_gb", decision.h_gb, cfg.gb.out_min, cfg.gb.out_max),
-        ("p_exch", decision.p_exch, -limits.p_max, limits.p_max),
-        ("h_exch", decision.h_exch, -limits.h_max, limits.h_max),
-    ]
-    for name, value, lo, hi in checks:
-        if value < lo - tol or value > hi + tol:
-            raise ValueError(f"{name}={value} outside [{lo}, {hi}]")
+    lo, hi = setpoint_box(cfg.fleet, limits, dt)
+    for name, low, high in zip(SETPOINTS, lo[0].tolist(), hi[0].tolist()):
+        value = getattr(decision, name)
+        if value < low - tol or value > high + tol:
+            raise ValueError(f"{name}={value} outside [{low}, {high}]")
     if decision.p_tp - cfg.ro.kwh_per_m3 * decision.w_rate < -tol:
         raise ValueError("cogeneration pumping demand exceeds gross output")
 
@@ -841,31 +931,19 @@ def oracle_dispatch(
         {"pe": pe, "he": he, "chp": chp, "b": b}, steps, grids, loads, wind_avail, cfgs, price, lim, dt, options
     )
 
-    decisions = []
-    penalty = 0.0
-    for ci in range(N_COMMUNITIES):
-        res = _complete_dispatch(
-            state["chp"][ci], state["b"][ci], state["pe"][ci], state["he"][ci],
-            loads[ci], float(wind_avail[ci]), cfgs[ci], price, dt, options,
-        )
-        penalty += float(res.penalty)
-        decisions.append(
-            DispatchDecision(
-                p_chp=float(state["chp"][ci]),
-                b_chp=float(state["b"][ci]),
-                p_tp=float(res.p_tp),
-                w_rate=float(res.w_rate),
-                p_gt=float(res.p_gt),
-                h_gb=float(res.h_gb),
-                p_exch=float(state["pe"][ci]),
-                h_exch=float(state["he"][ci]),
-                wind_used=float(wind_avail[ci]) - float(res.curtailed),
-            )
-        )
-    cost = total_cost(decisions, cfgs, price)
+    *_, parts = _system_keys(state["pe"], state["he"], state["chp"], state["b"], loads, wind_avail, cfgs, price, dt, options)
+    x = np.column_stack([
+        state["chp"], state["b"], [res.p_tp for res in parts], [res.w_rate for res in parts],
+        [res.p_gt for res in parts], [res.h_gb for res in parts], state["pe"], state["he"],
+    ])
+    wind = np.asarray(wind_avail, dtype=float)
+    p_load, h_load, w_load = np.array([[d.p_load, d.h_load, d.w_load] for d in loads]).T
+    settled = settle(x, p_load, h_load, w_load, wind, system_cfg.fleet, options, dt)
+    wind_used = wind - settled.curtailed
+    penalty = left_sum(settled.penalty.tolist())
     return OracleStep(
-        decisions=tuple(decisions),
-        cost=cost,
+        decisions=tuple(DispatchDecision(*row, wind_used=used) for row, used in zip(x.tolist(), wind_used.tolist())),
+        cost=CostBreakdown.from_parts(fuel_cost(x, system_cfg.fleet, price)),
         penalty=penalty,
         feasible=penalty <= _FEASIBLE_TOL,
     )

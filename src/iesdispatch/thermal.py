@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 WATER_DENSITY = 1000.0  # kg per m3
 KJ_PER_KWH = 3600.0
 
@@ -39,10 +41,11 @@ class PipelineParams:
             )
 
 
-def transported_heat(params: PipelineParams, mass_kg: float) -> float:
-    """Heat (kWh) delivered by ``mass_kg`` of water cooling from supply to return."""
-    if mass_kg < 0.0:
-        raise ValueError(f"water mass must be nonnegative, got {mass_kg}")
+def transported_heat(params: PipelineParams, mass_kg):
+    """Heat (kWh) delivered by ``mass_kg`` of water cooling from supply to
+    return; the mass and the fields of ``params`` may be floats or arrays."""
+    if np.any(np.less(mass_kg, 0.0)):
+        raise ValueError(f"water mass must be nonnegative, got {np.min(mass_kg)}")
     return params.c_water * mass_kg * (params.t_supply - params.t_return) / KJ_PER_KWH
 
 
@@ -51,16 +54,16 @@ def pipeline_heat_loss(params: PipelineParams) -> float:
     return 2.0 * math.pi * (params.t_supply - params.t_env) / params.thermal_resistance * params.length / 1000.0
 
 
-def required_heat_supply(h_load_kw: float, loss_kw: float) -> float:
-    """Heat (kW) the source must provide: consumer load plus pipe loss."""
-    if h_load_kw < 0.0:
-        raise ValueError(f"heat load must be nonnegative, got {h_load_kw}")
-    if loss_kw < 0.0:
-        raise ValueError(f"loss must be nonnegative, got {loss_kw}")
+def required_heat_supply(h_load_kw, loss_kw):
+    """Heat (kW) the source must provide: consumer load plus pipe loss (floats or arrays)."""
+    if np.any(np.less(h_load_kw, 0.0)):
+        raise ValueError(f"heat load must be nonnegative, got {np.min(h_load_kw)}")
+    if np.any(np.less(loss_kw, 0.0)):
+        raise ValueError(f"loss must be nonnegative, got {np.min(loss_kw)}")
     return h_load_kw + loss_kw
 
 
-def deliverable_heat_power(params: PipelineParams, w_rate_m3h: float, dt: float = 1.0) -> float:
-    """Largest heat power (kW) the water delivered in one step can carry."""
+def deliverable_heat_power(params: PipelineParams, w_rate_m3h, dt: float = 1.0):
+    """Largest heat power (kW) the water delivered in one step can carry (floats or arrays)."""
     mass = w_rate_m3h * dt * WATER_DENSITY
     return transported_heat(params, mass) / dt

@@ -1,11 +1,17 @@
 """End-to-end command-line tests on a temporary directory."""
 
+import builtins
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from iesdispatch.cli import main
+from iesdispatch import cli, env, learner, nets, system
+from iesdispatch.cli import main, write_schedule_csv
+from iesdispatch.env import RewardParams, evaluate_step
+from iesdispatch.scenario import ScenarioSpec, generate_scenario
 
 SMOKE_CONFIG = """
 train:
@@ -199,6 +205,136 @@ class TestCompare:
         assert payload["delta_total_cost_b_minus_a"] == 0.0
         assert payload["cheaper"] == "tie"
         assert all(v == 0.0 for v in payload["delta_per_community_b_minus_a"].values())
+
+
+class TestCompareLoads:
+    def test_each_checkpoint_is_loaded_once(self, workspace, monkeypatch):
+        tmp, cfg, scenario = workspace
+        paths = []
+        for seed in ("1", "2"):
+            run = tmp / f"run{seed}"
+            assert main([
+                "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(run),
+                "--episodes", "4", "--seed", seed,
+            ]) == 0
+            paths.append(str(run / "checkpoint.json"))
+        loaded = []
+        real = learner.load_checkpoint
+        monkeypatch.setattr(learner, "load_checkpoint", lambda path: loaded.append(path) or real(path))
+        assert main([
+            "compare", "--config", str(cfg), "--scenario", str(scenario),
+            "--checkpoint-a", paths[0], "--checkpoint-b", paths[1], "--out", str(tmp / "cmp"),
+        ]) == 0
+        assert loaded == paths
+
+
+class TestScheduleRows:
+    def test_wind_used_is_available_less_curtailed_in_every_row(self, workspace):
+        # A noisy day on which the oracle's search and the balance once
+        # curtailed one ulp apart (community 2 at steps 5 and 23).
+        tmp, _, _ = workspace
+        cfg = tmp / "noisy.yaml"
+        cfg.write_text(SMOKE_CONFIG + "scenario: {generator: {noise_std: 0.05, seed: 22}}\n", encoding="utf-8")
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp / "oracle")]) == 0
+        assert main(["train", "--config", str(cfg), "--out", str(tmp / "run"), "--episodes", "4"]) == 0
+        assert main([
+            "evaluate", "--config", str(cfg), "--checkpoint", str(tmp / "run" / "checkpoint.json"),
+            "--out", str(tmp / "eval"),
+        ]) == 0
+        for path in (tmp / "oracle" / "oracle_schedule.csv", tmp / "eval" / "schedule.csv"):
+            for row in read_csv(path):
+                used, avail, curtailed = (float(row[k]) for k in ("wind_used_kw", "wind_avail_kw", "curtailed_kw"))
+                assert used == avail - curtailed, (path.name, row["step"], row["community"])
+
+
+def compensated_sum(values, start=0):
+    """``sum`` as Python 3.12 and later compute it for floats: with
+    Neumaier's compensation of the rounding error."""
+    values = list(values)
+    if not all(type(v) is float for v in values):
+        return builtins.sum(values, start)
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+class TestPythonVersion:
+    def test_a_compensating_sum_changes_no_artifact(self, workspace, monkeypatch):
+        tmp, cfg, scenario = workspace
+
+        def run(name):
+            out = tmp / name
+            assert main([
+                "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out), "--seed", "3",
+            ]) == 0
+            assert main([
+                "evaluate", "--config", str(cfg), "--scenario", str(scenario),
+                "--checkpoint", str(out / "checkpoint.json"), "--out", str(out / "eval"),
+            ]) == 0
+            return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+        left_to_right = run("left")
+        for module in (cli, env, learner, nets, system):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+        assert run("compensated") == left_to_right
+
+
+def zero_action_records(n_steps=3):
+    scenario = generate_scenario(ScenarioSpec())
+    sys_cfg = system.default_system_config()
+    return [evaluate_step(scenario, t, np.zeros((3, 8)), sys_cfg, RewardParams()) for t in range(n_steps)]
+
+
+def with_first_decision(record, **changes):
+    return replace(record, decisions=(replace(record.decisions[0], **changes),) + record.decisions[1:])
+
+
+# Corruptions of the records of step 1, each with a word the error must name.
+EXPORT_CORRUPTIONS = {
+    "out-of-box": (lambda r: with_first_decision(r, p_chp=6000.0), "p_chp"),
+    "not-conserving": (lambda r: with_first_decision(r, p_exch=r.decisions[0].p_exch + 10.0), "step 1"),
+}
+
+
+class TestExportRecheck:
+    @pytest.mark.parametrize("case", EXPORT_CORRUPTIONS)
+    def test_write_schedule_csv_refuses(self, tmp_path, case):
+        corrupt, word = EXPORT_CORRUPTIONS[case]
+        records = zero_action_records()
+        records[1] = corrupt(records[1])
+        with pytest.raises(ValueError, match=word):
+            write_schedule_csv(tmp_path / "schedule.csv", records, system.default_system_config())
+        assert not (tmp_path / "schedule.csv").exists()
+
+    @pytest.mark.parametrize("case", EXPORT_CORRUPTIONS)
+    def test_evaluate_exits_1_with_a_json_error(self, workspace, capsys, monkeypatch, case):
+        corrupt, word = EXPORT_CORRUPTIONS[case]
+        tmp, cfg, scenario = workspace
+        run = tmp / "run"
+        assert main([
+            "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(run), "--episodes", "4",
+        ]) == 0
+        rollout = learner.greedy_rollout
+
+        def corrupted_rollout(*args):
+            records = rollout(*args)
+            records[1] = corrupt(records[1])
+            return records
+
+        monkeypatch.setattr(learner, "greedy_rollout", corrupted_rollout)
+        capsys.readouterr()
+        code = main([
+            "evaluate", "--config", str(cfg), "--scenario", str(scenario),
+            "--checkpoint", str(run / "checkpoint.json"), "--out", str(tmp / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert word in err["message"]
+        assert not (tmp / "eval" / "schedule.csv").exists()
 
 
 class TestOracleCommand:

@@ -1,19 +1,24 @@
-"""The one-pass day path against the step-by-step reference, bit for bit.
+"""The array dispatch kernels against the tests' scalar reference, bit for bit.
 
-Training evaluates a whole day at once (``evaluate_day``, ``Mlp.forward_rows``,
-one batched noise draw).  These tests hold every number it produces equal,
-with ``==`` and not a tolerance, to the scalar ``evaluate_step`` and to a
-collector that steps ``DispatchEnv`` one transition at a time.
+Every dispatch number of the package comes from the array kernels of
+``iesdispatch.system``: training's ``evaluate_day``, ``evaluate_step`` (and
+so ``DispatchEnv.step``), ``greedy_rollout``, the oracle's rows and the
+scalar functions of the public API.  These tests hold each of them equal,
+with ``==`` and not a tolerance, to ``scalar_reference``, the same chain
+written one Python float at a time, and hold one-pass training equal to a
+collector that steps through the day one transition at a time.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iesdispatch import learner
+from iesdispatch import cli, env as env_module, learner, system as system_module
+from iesdispatch.config import load_config
 from iesdispatch.devices import ChpParams, GasUnitParams, RoCogenParams
 from iesdispatch.env import (
     ACTION_DIM,
@@ -32,7 +37,15 @@ from iesdispatch.env import (
 )
 from iesdispatch.learner import LogRow, TrainConfig, _Episode, sample_action
 from iesdispatch.scenario import PROFILES, ScenarioSpec, generate_scenario
-from iesdispatch.system import BalanceOptions, CommunityConfig, SystemConfig, left_sum
+from iesdispatch.system import (
+    BalanceOptions,
+    CommunityConfig,
+    CommunityLoads,
+    DispatchDecision,
+    SystemConfig,
+    left_sum,
+    oracle_dispatch,
+)
 from iesdispatch.thermal import PipelineParams
 
 OPTION_SETS = [BalanceOptions(*flags) for flags in itertools.product((False, True), repeat=3)]
@@ -66,6 +79,10 @@ def random_actions(rng: np.random.Generator) -> np.ndarray:
     return actions
 
 
+def reference_agent_rewards(record, params):
+    return [params.u - (c + params.kappa * b.penalty) / params.z for c, b in zip(record.costs, record.balances)]
+
+
 class TestEvaluateDay:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -88,13 +105,15 @@ class TestEvaluateDay:
         actions = random_actions(np.random.default_rng(action_seed))
 
         day = evaluate_day(scenario, actions, sys_cfg, params, mode, dt)
-        records = [evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, dt) for t in range(EPISODE_STEPS)]
+        expected = [ref.evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, dt) for t in range(EPISODE_STEPS)]
 
-        np.testing.assert_array_equal(day.team_reward, [r.reward for r in records])
-        np.testing.assert_array_equal(day.agent_reward, [r.agent_rewards(params) for r in records])
-        np.testing.assert_array_equal(day.cost, [r.costs for r in records])
-        np.testing.assert_array_equal(day.penalty, [[b.penalty for b in r.balances] for r in records])
-        np.testing.assert_array_equal(day.curtailed, [[b.curtailed for b in r.balances] for r in records])
+        assert day.records() == expected
+        assert [evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, dt) for t in range(EPISODE_STEPS)] == expected
+        np.testing.assert_array_equal(day.team_reward, [r.reward for r in expected])
+        np.testing.assert_array_equal(day.agent_reward, [reference_agent_rewards(r, params) for r in expected])
+        np.testing.assert_array_equal(day.cost, [r.costs for r in expected])
+        np.testing.assert_array_equal(day.balance.penalty, [[b.penalty for b in r.balances] for r in expected])
+        np.testing.assert_array_equal(day.balance.curtailed, [[b.curtailed for b in r.balances] for r in expected])
 
     @pytest.mark.parametrize("shape", [(24, 3), (24, 2, 8), (23, 3, 8), (25, 3, 8)])
     def test_rejects_bad_shapes(self, shape):
@@ -104,6 +123,47 @@ class TestEvaluateDay:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             evaluate_day(generate_scenario(ScenarioSpec()), np.zeros((24, 3, 8)), system(8.0, BalanceOptions(), False), RewardParams(), "solo")
+
+
+class TestScalarAdapters:
+    """The public per-community functions are adapters over the kernels."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(-8000.0, 8000.0), min_size=8, max_size=8),
+        action=st.lists(st.floats(-3.0, 3.0), min_size=8, max_size=8),
+        exchanges=st.lists(st.floats(-5000.0, 5000.0), min_size=6, max_size=6),
+        loads=st.tuples(st.floats(0.0, 9000.0), st.floats(0.0, 6000.0), st.floats(0.0, 600.0), st.floats(0.0, 3000.0)),
+        community=st.integers(0, 2),
+        options=st.sampled_from(OPTION_SETS),
+        kwh_per_m3=st.sampled_from([8.0, 7.3]),
+        mixed=st.booleans(),
+        with_limits=st.booleans(),
+        dt=st.sampled_from([1.0, 0.5]),
+    )
+    def test_adapters_equal_the_reference(
+        self, values, action, exchanges, loads, community, options, kwh_per_m3, mixed, with_limits, dt
+    ):
+        sys_cfg = system(kwh_per_m3, options, mixed)
+        cfg, limits, price = sys_cfg.communities[community], sys_cfg.limits, sys_cfg.price
+        raw = DispatchDecision(*values, wind_used=values[0])
+
+        clipped = system_module.clip_to_limits(raw, cfg, limits if with_limits else None, dt)
+        assert clipped == ref.clip_to_limits(raw, cfg, limits if with_limits else None, dt)
+        assert env_module.action_to_setpoints(action, cfg, limits, dt) == ref.action_to_setpoints(action, cfg, limits, dt)
+        decoded = env_module.decode_action(action, cfg, limits, dt)
+        assert decoded == ref.decode_action(action, cfg, limits, dt)
+        assert system_module.project_exchanges(exchanges[:3], exchanges[3:], 700.0, 900.0) == ref.project_exchanges(
+            exchanges[:3], exchanges[3:], 700.0, 900.0
+        )
+        community_loads = CommunityLoads(*loads[:3])
+        for decision in (clipped, decoded):
+            assert system_module.power_balance(decision, community_loads, loads[3], cfg, options, dt) == ref.power_balance(
+                decision, community_loads, loads[3], cfg, options, dt
+            )
+            assert system_module.community_cost(decision, cfg, price) == ref.community_cost(decision, cfg, price)
+        params = RewardParams(kappa=1.5)
+        assert env_module.step_reward(values[0], exchanges[:3], params) == ref.step_reward(values[0], exchanges[:3], params)
 
 
 class TestDayStates:
@@ -119,9 +179,10 @@ class TestDayStates:
 
 
 def step_by_step_collect(env, actors, critics, rng, independent):
-    """Reference collector: steps the environment one transition at a time,
-    with one batch-1 forward per network and one noise draw per agent and
-    step.  The one-pass ``learner._collect_episode`` must reproduce it."""
+    """Reference collector: one transition at a time, with one batch-1
+    forward per network, one noise draw per agent and step, and the scalar
+    reference's ``evaluate_step``.  The one-pass ``learner._collect_episode``
+    must reproduce it."""
     obs_dim = observation_dim(env.observation)
     states = np.empty((EPISODE_STEPS, STATE_DIM))
     obs_arr = np.empty((N_AGENTS, EPISODE_STEPS, obs_dim))
@@ -132,8 +193,8 @@ def step_by_step_collect(env, actors, critics, rng, independent):
     values = np.empty((N_AGENTS if independent else 1, EPISODE_STEPS))
     records = []
 
-    state = env.reset()
     for t in range(EPISODE_STEPS):
+        state = encode_state(env.scenario, t, env.scales)
         states[t] = state
         per_agent = [agent_observation(state, k, env.observation) for k in range(N_AGENTS)]
         for k in range(N_AGENTS):
@@ -146,9 +207,9 @@ def step_by_step_collect(env, actors, critics, rng, independent):
                 values[k, t] = critics[k].net.forward(per_agent[k])[0][0, 0]
         else:
             values[0, t] = critics[0].net.forward(state)[0][0, 0]
-        state, reward, _, record = env.step(actions[:, t, :])
-        team_rewards[t] = reward
-        agent_rewards[:, t] = record.agent_rewards(env.reward_params)
+        record = ref.evaluate_step(env.scenario, t, actions[:, t, :], env.system_cfg, env.reward_params, env.mode, env.dt)
+        team_rewards[t] = record.reward
+        agent_rewards[:, t] = reference_agent_rewards(record, env.reward_params)
         records.append(record)
 
     row = LogRow(
@@ -189,5 +250,34 @@ class TestOnePassTraining:
             means = np.stack([
                 result.actors[k].mean_action(agent_observation(state, k, env.observation)) for k in range(N_AGENTS)
             ])
+            assert records[t] == ref.evaluate_step(env.scenario, t, means, env.system_cfg, env.reward_params)
             state, _, _, record = env.step(means)
             assert record == records[t]
+
+
+class TestOracleRows:
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+    def test_oracle_rows_equal_the_reference(self, strict):
+        options = {"gross_pipeline_loss": strict, "cap_heat_by_water": strict, "exchange_loss": strict}
+        run_cfg = load_config(None, {"system": {"options": options}})
+        sys_cfg, dt = run_cfg.system, run_cfg.system.price.dt
+        scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=22))
+        for t in range(EPISODE_STEPS):
+            loads = [CommunityLoads(*(float(q[i, t]) for q in (scenario.p_load, scenario.h_load, scenario.w_load)))
+                     for i in range(N_AGENTS)]
+            wind = [float(scenario.p_wind[i, t]) for i in range(N_AGENTS)]
+            step = oracle_dispatch(loads, wind, sys_cfg, grid_n=5, dt=dt)
+            record = cli._oracle_record(step, scenario, run_cfg, t)
+
+            cfgs = sys_cfg.communities
+            balances = tuple(
+                ref.power_balance(d, loads[i], wind[i], cfgs[i], sys_cfg.options, dt) for i, d in enumerate(step.decisions)
+            )
+            costs = tuple(ref.community_cost(d, cfgs[i], sys_cfg.price) for i, d in enumerate(step.decisions))
+            assert record.balances == balances
+            assert record.costs == costs == step.cost.per_community
+            assert record.wind_avail == tuple(wind)
+            assert record.reward == ref.step_reward(left_sum(costs), [b.penalty for b in balances], run_cfg.reward)
+            assert record.decisions == step.decisions
+            assert step.penalty == left_sum(b.penalty for b in balances)
+            assert [d.wind_used for d in step.decisions] == [wind[i] - balances[i].curtailed for i in range(N_AGENTS)]
