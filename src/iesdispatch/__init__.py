@@ -35,6 +35,7 @@ from .system import (
     clip_to_limits,
     community_cost,
     default_system_config,
+    oracle_day,
     oracle_dispatch,
     power_balance,
     project_exchanges,

@@ -1,8 +1,10 @@
 """Operator command line.
 
 Verbs: ``generate-scenario``, ``train``, ``evaluate``, ``compare`` and
-``oracle``.  Commands exit 0 on success; any failure prints a single JSON
-object to stderr ({"error": <class>, "message": <text>}) and exits 1.
+``oracle``.  Commands exit 0 on success; any failure, a command line
+that does not parse and an output path that cannot be created included,
+prints a single JSON object to stderr ({"error": <class>, "message":
+<text>}) and exits 1.  ``--help`` prints the usage and exits 0.
 All outputs are deterministic for a fixed seed and inputs.
 """
 
@@ -14,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import learner as L
 from .config import ConfigError, RunConfig, config_hash, load_config
@@ -27,12 +31,11 @@ from .scenario import (
     scenario_hash,
 )
 from .system import (
-    N_COMMUNITIES,
-    CommunityLoads,
+    OracleStep,
     SystemConfig,
     assert_within_limits,
     left_sum,
-    oracle_dispatch,
+    oracle_day,
     setpoint_rows,
 )
 
@@ -64,6 +67,18 @@ TRAIN_LOG_COLUMNS = ("episode", "mean_reward", "total_cost", "total_penalty", "c
 
 class CheckpointMismatch(ValueError):
     """A checkpoint does not match the configuration it is evaluated under."""
+
+
+class UsageError(ValueError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ``UsageError``, so that it
+    leaves as every other failure does: a JSON error and exit code 1."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def schedule_rows(records: Sequence[StepRecord], episode: int = 0) -> list[dict]:
@@ -204,6 +219,13 @@ def _config_with_cli(args) -> RunConfig:
     return load_config(args.config, overrides or None)
 
 
+def _out_dir(args) -> Path:
+    """Create the output directory, so a bad ``--out`` fails before any work."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def cmd_generate_scenario(args) -> int:
     cfg = _config_with_cli(args)
     spec = cfg.generator
@@ -228,11 +250,11 @@ def cmd_train(args) -> int:
         observation=cfg.observation,
         dt=cfg.system.price.dt,
     )
+    out = _out_dir(args)
     if cfg.mode == "independent":
         result = L.train_independent(env, cfg.train)
     else:
         result = L.train_mappo(env, cfg.train)
-    out = Path(args.out)
     L.save_checkpoint(out / "checkpoint.json", result, config_hash(cfg), scenario_hash(scenario))
     write_training_log(out / "training_log.csv", result.log)
     write_reward_curve(out / "reward_curve.csv", result.log)
@@ -263,8 +285,8 @@ def cmd_evaluate(args) -> int:
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
     ckpt = L.load_checkpoint(args.checkpoint)
+    out = _out_dir(args)
     records = _evaluate_checkpoint(args.checkpoint, ckpt, cfg, scenario)
-    out = Path(args.out)
     rows = write_schedule_csv(out / "schedule.csv", records, cfg.system, cfg.system.price.dt)
     summary = summarize_rows(rows, cfg.system.price.dt)
     summary["mode"] = ckpt.mode
@@ -282,6 +304,7 @@ def cmd_compare(args) -> int:
     ckpt_b = L.load_checkpoint(args.checkpoint_b)
     if ckpt_a.config_hash != ckpt_b.config_hash:
         raise CheckpointMismatch("checkpoints were trained under different system configurations")
+    out = _out_dir(args)
     records_a = _evaluate_checkpoint(args.checkpoint_a, ckpt_a, cfg, scenario)
     records_b = _evaluate_checkpoint(args.checkpoint_b, ckpt_b, cfg, scenario)
     summary_a = summarize_rows(schedule_rows(records_a), cfg.system.price.dt)
@@ -299,54 +322,41 @@ def cmd_compare(args) -> int:
         "cheaper": "a" if delta_total > 0 else "b" if delta_total < 0 else "tie",
         "scenario_hash": scenario_hash(scenario),
     }
-    write_json(Path(args.out) / "comparison.json", payload)
+    write_json(out / "comparison.json", payload)
     print(f"compared checkpoints -> {args.out}")
     return 0
 
 
 def cmd_oracle(args) -> int:
+    if args.grid_n < 3:
+        raise ValueError(f"--grid-n must be at least 3, got {args.grid_n}")
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
+    out = _out_dir(args)
     dt = cfg.system.price.dt
-    records = []
-    infeasible_steps = []
-    for t in range(scenario.p_load.shape[1]):
-        loads = [
-            CommunityLoads(
-                p_load=float(scenario.p_load[i, t]),
-                h_load=float(scenario.h_load[i, t]),
-                w_load=float(scenario.w_load[i, t]),
-            )
-            for i in range(N_COMMUNITIES)
-        ]
-        wind = [float(scenario.p_wind[i, t]) for i in range(N_COMMUNITIES)]
-        step = oracle_dispatch(loads, wind, cfg.system, grid_n=args.grid_n, dt=dt)
-        if not step.feasible:
-            infeasible_steps.append(t)
-        records.append(_oracle_record(step, scenario, cfg, t))
-    out = Path(args.out)
-    rows = write_schedule_csv(out / "oracle_schedule.csv", records, cfg.system, dt)
+    steps = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, cfg.system, dt)
+    rows = write_schedule_csv(out / "oracle_schedule.csv", _oracle_records(steps, scenario, cfg), cfg.system, dt)
     summary = summarize_rows(rows, dt)
     summary["grid_n"] = args.grid_n
-    summary["infeasible_steps"] = infeasible_steps
+    summary["infeasible_steps"] = [t for t, step in enumerate(steps) if not step.feasible]
     summary["scenario_hash"] = scenario_hash(scenario)
     write_json(out / "oracle_summary.json", summary)
-    print(f"oracle dispatch (grid_n={args.grid_n}) -> {out}")
+    print(f"oracle dispatch -> {out}")
     return 0
 
 
-def _oracle_record(step, scenario: ScenarioData, cfg: RunConfig, t: int) -> StepRecord:
-    """The oracle's step t, settled and priced by the kernels that evaluate a policy."""
-    setpoints = setpoint_rows(step.decisions)[None]
-    return settle_day(scenario, [t], setpoints, cfg.system, cfg.reward, cfg.system.price.dt).records(t)[0]
+def _oracle_records(steps: Sequence[OracleStep], scenario: ScenarioData, cfg: RunConfig) -> list[StepRecord]:
+    """The oracle's day, settled and priced by the kernels that evaluate a policy."""
+    setpoints = np.stack([setpoint_rows(step.decisions) for step in steps])
+    return settle_day(scenario, slice(None), setpoints, cfg.system, cfg.reward, cfg.system.price.dt).records()
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="iesdispatch",
         description="Three-community energy dispatch: scenarios, training, evaluation, oracle baseline.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p, scenario=True):
         p.add_argument("--config", default=None, help="YAML configuration file (defaults ship built in)")
@@ -379,9 +389,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", required=True, help="output directory")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_orc = sub.add_parser("oracle", help="grid-search dispatch baseline over the scenario")
+    p_orc = sub.add_parser("oracle", help="exact optimal dispatch of each step of the scenario")
     add_common(p_orc)
-    p_orc.add_argument("--grid-n", type=int, default=21, help="grid resolution per control")
+    p_orc.add_argument(
+        "--grid-n", type=int, default=21,
+        help="accepted for compatibility and ignored by the exact solver; must be at least 3",
+    )
     p_orc.add_argument("--out", required=True, help="output directory")
     p_orc.set_defaults(func=cmd_oracle)
 
@@ -393,15 +406,14 @@ _EXPECTED_ERRORS = (
     ScenarioFormatError,
     CheckpointMismatch,
     L.TrainingDiverged,
-    FileNotFoundError,
+    OSError,
     ValueError,
 )
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _EXPECTED_ERRORS as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)

@@ -3,12 +3,13 @@
 Combines the per-device models into community-level dispatch: clipping raw
 setpoints into their feasible boxes, projecting the inter-community
 exchanges onto the conservation constraint, computing balance residuals and
-wind curtailment, pricing a joint dispatch, and an exhaustive grid-search
-oracle used as an optimization-free baseline.
+wind curtailment, pricing a joint dispatch, and an exact linear-programming
+oracle used as the optimal baseline.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
@@ -25,15 +26,6 @@ from .thermal import (
 
 N_COMMUNITIES = 3
 COMMUNITY_NAMES = {1: "industrial", 2: "commercial", 3: "residential"}
-
-# Tolerances used when ranking oracle candidates; ties within these bands
-# fall through to the next criterion so that floating-point noise cannot
-# break symmetry between otherwise equivalent dispatches.
-_PENALTY_TOL = 1e-9
-_COST_TOL = 1e-6
-_KEY_TOL = 1e-9
-_FEASIBLE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class ExchangeLimits:
@@ -215,7 +207,7 @@ def water_rate_cap(p_tp, kwh_per_m3, w_cap):
 # below are adapters over these kernels.
 
 SETPOINTS = ("p_chp", "b_chp", "p_tp", "w_rate", "p_gt", "h_gb", "p_exch", "h_exch")
-P_TP, W_RATE, P_EXCH, H_EXCH = 2, 3, 6, 7
+P_CHP, B_CHP, P_TP, W_RATE, P_GT, H_GB, P_EXCH, H_EXCH = range(len(SETPOINTS))
 
 
 class Fleet(NamedTuple):
@@ -436,33 +428,36 @@ def assert_within_limits(
 
 
 # ---------------------------------------------------------------------------
-# Grid-search dispatch oracle
+# Exact step-LP dispatch oracle
 # ---------------------------------------------------------------------------
 #
-# The oracle discretizes the controls that stay free once the zero-residual
-# balance equations are substituted in: the CHP electric output and
-# heat-to-power ratio per community, and two of the three exchange values
-# per carrier (the third follows from conservation).  For each such grid
-# point the water rate, boiler output and the cogeneration/turbine split
-# are solved directly, choosing minimal imbalance first and minimal fuel
-# cost second; a full per-control product grid would almost never contain
-# an exactly balanced point.
+# One dispatch step is a small linear program once the CHP heat is written
+# h = b_min*p + h_extra with 0 <= h_extra <= (b_max - b_min)*p: fuel cost is
+# linear in every output, and each balance residual is a pair of
+# nonnegative slacks.  Per community the columns are the device outputs,
+# the imported and exported parts of each exchange, the wind used, the
+# residual slacks and the inequality rows' slacks (below); the rows are the
+# electric, heat and water balances, the CHP ratio and the pumping limit,
+# and under ``cap_heat_by_water`` two more that keep the delivered heat
+# below the supply and below what the water carries.  Two zero-sum rows
+# close the exchanges.  A dense bounded-variable simplex (Bland's rule)
+# solves every step of a day, and every export-sign pattern under
+# ``exchange_loss``, as one batch of tableaus with elementwise updates.
 
-
-class _Completion(NamedTuple):
-    penalty: np.ndarray
-    cost: np.ndarray
-    output: np.ndarray  # summed device outputs, used as a deterministic tie-break
-    w_rate: np.ndarray
-    h_gb: np.ndarray
-    p_tp: np.ndarray
-    p_gt: np.ndarray
-    curtailed: np.ndarray
+(_P, _HX, _TP, _W, _GT, _GB, _PE_IN, _PE_OUT, _HE_IN, _HE_OUT, _WIND,
+ _E_SHORT, _E_OVER, _H_SHORT, _H_OVER, _W_SHORT, _W_OVER, _S_CHP, _S_PUMP,
+ _HEAT, _S_SUPPLY, _S_CARRY) = range(22)
+_ELEC, _HEAT_ROW, _WATER, _CHP_ROW, _PUMP, _SUPPLY, _CARRY = range(7)
+# A reduced cost this small counts as zero, and so does a pivot element.
+_EPS = 1e-9
+# Basic values this close to a bound are reported on it.
+_SNAP = 1e-9
+_FEASIBLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class OracleStep:
-    """Best dispatch found for one step, plus feasibility of exact balance."""
+    """Best dispatch of one step, plus feasibility of exact balance."""
 
     decisions: tuple[DispatchDecision, DispatchDecision, DispatchDecision]
     cost: CostBreakdown
@@ -470,379 +465,250 @@ class OracleStep:
     feasible: bool
 
 
-def _complete_dispatch(
-    p_chp,
-    b,
-    p_exch,
-    h_exch,
-    loads: CommunityLoads,
-    wind: float,
-    cfg: CommunityConfig,
-    price: FuelPrice,
-    dt: float,
-    options: BalanceOptions = BalanceOptions(),
-) -> _Completion:
-    """Cheapest completion of a community dispatch, numpy-broadcastable.
+class _Programs(NamedTuple):
+    """K step programs that share their matrix: A x = b, lo <= x <= hi."""
 
-    For fixed CHP setpoints and exchanges this resolves the remaining
-    controls: water tracks its load up to the feasible cap, the boiler
-    absorbs the residual heat demand, and the cogeneration/turbine pair
-    covers the cheapest electric total inside the zero-residual window,
-    filled in merit order.  The strict-mode heat couplings are accounted
-    for in the residuals; under ``cap_heat_by_water`` the water rate still
-    tracks the water load, so a dispatch that over-produces water purely
-    to carry extra heat is not explored.
-    """
-    p_chp = np.asarray(p_chp, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p_exch = np.asarray(p_exch, dtype=float)
-    h_exch = np.asarray(h_exch, dtype=float)
-    ro, gt, gb, chp = cfg.ro, cfg.gt, cfg.gb, cfg.chp
-    q = ro.kwh_per_m3
+    a: np.ndarray          # (m, n)
+    b: np.ndarray          # (K, m)
+    lo: np.ndarray         # (K, n)
+    hi: np.ndarray         # (K, n)
+    objectives: np.ndarray  # (4, n): imbalance, fuel cost, exchange, output
+    short: np.ndarray      # (m,) column with +1 in each row, the first basis
+    over: np.ndarray       # (m,) column with -1, the first basis where b < 0
+    nv: int
 
-    w_cap = min(ro.w_max / dt, ro.p_tp_max / q)
-    w = min(loads.w_load, w_cap)
-    pen_water = q * (loads.w_load - w)
 
-    h_chp = b * p_chp
-    h_demand = loads.h_load
-    if options.gross_pipeline_loss:
-        h_demand = required_heat_supply(loads.h_load, pipeline_heat_loss(cfg.pipeline))
-    export_adj = (
-        np.where(h_exch < 0.0, pipeline_heat_loss(cfg.pipeline), 0.0)
-        if options.exchange_loss
-        else 0.0
-    )
-    target = h_demand
-    if options.cap_heat_by_water:
-        # production beyond what the water stream can carry is wasted fuel
-        target = min(h_demand, deliverable_heat_power(cfg.pipeline, w, dt))
-    h_gb = np.clip(target - h_exch + export_adj - h_chp, gb.out_min, gb.out_max)
-    h_supply = h_chp + h_gb + h_exch - export_adj
-    if options.cap_heat_by_water:
-        h_supply = np.minimum(h_supply, deliverable_heat_power(cfg.pipeline, w, dt))
-    pen_heat = np.abs(h_supply - h_demand)
-
-    pump = q * w
-    tp_base = max(ro.p_tp_min, pump)  # gross floor needed to run the pumps
-    cog_floor = tp_base - pump
-    cog_cap = ro.p_tp_max - tp_base
-    gt_cap = gt.out_max - gt.out_min
-
-    p_self = loads.p_load - p_exch
-    g_lo = p_chp + cog_floor + gt.out_min
-    g_hi = g_lo + cog_cap + gt_cap
-    g = np.clip(p_self - wind, g_lo, g_hi)
-    surplus = g + wind - p_self
-    curtailed = np.clip(surplus, 0.0, wind)
-    pen_elec = np.abs(surplus - curtailed)
-
-    extra = g - g_lo
-    if ro.eta >= gt.eta:
-        cog_extra = np.minimum(extra, cog_cap)
-        gt_extra = extra - cog_extra
-    else:
-        gt_extra = np.minimum(extra, gt_cap)
-        cog_extra = extra - gt_extra
-    p_tp = tp_base + cog_extra
-    p_gt = gt.out_min + gt_extra
-
+def _programs(p_load, h_load, w_load, wind, cfg: SystemConfig, dt: float) -> _Programs:
+    """The programs of (T, 3) loads and wind, step-major, one per export-sign
+    pattern (2**3 under ``exchange_loss``, else 1)."""
+    fleet, options, price = cfg.fleet, cfg.options, cfg.price
+    box_lo, box_hi = setpoint_box(fleet, cfg.limits, dt)
+    cap = options.cap_heat_by_water
+    nv, nr = (22, 7) if cap else (19, 5)
+    m, n = N_COMMUNITIES * nr + 2, N_COMMUNITIES * nv + 2
+    a = np.zeros((m, n))
+    objectives = np.zeros((4, n))
+    lo, hi = np.zeros(n), np.full(n, np.inf)
+    short, over = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    b = np.zeros((len(p_load), m))
+    h_demand = required_heat_supply(h_load, fleet.loss) if options.gross_pipeline_loss else h_load
     unit = price.gas_price * price.dt / price.hhv
-    cost = unit * (
-        p_chp * (1.0 + b) / chp.eta + p_tp / ro.eta + p_gt / gt.eta + h_gb / gb.eta
-    )
-    penalty = pen_elec + pen_heat + pen_water
-    output = p_chp + h_chp + p_tp + p_gt + h_gb
-    w_arr = np.broadcast_to(np.asarray(w, dtype=float), penalty.shape)
-    return _Completion(penalty, cost, output, w_arr, h_gb, p_tp, p_gt, curtailed)
-
-
-def _lex_best(keys: Sequence[np.ndarray], tols: Sequence[float]) -> int:
-    """Index of the lexicographically smallest key tuple, first index wins.
-
-    Each stage keeps candidates within ``tol`` of the stage minimum so that
-    bit-level noise between symmetric alternatives does not decide the
-    ranking before the later tie-break keys can.
-    """
-    mask = np.ones(keys[0].shape, dtype=bool)
-    for key, tol in zip(keys, tols):
-        masked = np.where(mask, key, np.inf)
-        best = masked.min()
-        if not np.isfinite(best):
-            break
-        mask &= masked <= best + tol
-    return int(mask.argmax())
-
-
-def _exchange_grids(base: np.ndarray, bound: float):
-    """Extended grid holding the base points plus every implied third value."""
-    third = -(base[:, None] + base[None, :])
-    valid = (np.abs(third) <= bound + 1e-9) & (
-        np.abs(base)[:, None] + np.abs(base)[None, :] + np.abs(third) <= 2.0 * bound + 1e-9
-    )
-    ext = np.unique(np.concatenate([base, third[valid].ravel()]))
-    base_idx = np.searchsorted(ext, base)
-    third_idx = np.searchsorted(ext, np.where(valid, third, base[0]))
-    third_idx = np.minimum(third_idx, len(ext) - 1)
-    return ext, base_idx, third, third_idx, valid
-
-
-class _BestCompletion(NamedTuple):
-    penalty: np.ndarray
-    cost: np.ndarray
-    output: np.ndarray
-    chp: np.ndarray
-    b: np.ndarray
-
-
-def _chp_candidates(
-    pe: np.ndarray,
-    loads: CommunityLoads,
-    wind: float,
-    cfg: CommunityConfig,
-    chp_grid: np.ndarray,
-    dt: float,
-) -> np.ndarray:
-    """CHP grid plus the electric breakpoints per exchange candidate.
-
-    The completion cost is piecewise linear in the CHP output, with kinks
-    where the CHP alone covers the residual electric demand (using all
-    wind, or none).  Those two points depend on the exchange value, not on
-    the grid, so adding them makes the per-exchange evaluation essentially
-    resolution independent.
-    """
-    q = cfg.ro.kwh_per_m3
-    w = min(loads.w_load, min(cfg.ro.w_max / dt, cfg.ro.p_tp_max / q))
-    cog_floor = max(cfg.ro.p_tp_min, q * w) - q * w
-    base = cog_floor + cfg.gt.out_min
-    p_self = loads.p_load - pe
-    bp_all_wind = np.clip(p_self - wind - base, cfg.chp.p_min, cfg.chp.p_max)
-    bp_no_wind = np.clip(p_self - base, cfg.chp.p_min, cfg.chp.p_max)
-    grid = np.broadcast_to(chp_grid, (len(pe), len(chp_grid)))
-    return np.concatenate([grid, bp_all_wind[:, None], bp_no_wind[:, None]], axis=1)
-
-
-def _best_over_chp_grid(
-    pe: np.ndarray,
-    he: np.ndarray,
-    loads: CommunityLoads,
-    wind: float,
-    cfg: CommunityConfig,
-    price: FuelPrice,
-    chp_grid: np.ndarray,
-    b_grid: np.ndarray,
-    dt: float,
-    options: BalanceOptions = BalanceOptions(),
-) -> _BestCompletion:
-    """Best CHP candidate (and completion) per exchange candidate.
-
-    ``pe`` and ``he`` are flat arrays of equal length K; the result arrays
-    have length K.  Minimal imbalance wins, then fuel cost, then total
-    output, then candidate order.
-    """
-    pe = np.asarray(pe, dtype=float).ravel()
-    he = np.asarray(he, dtype=float).ravel()
-    chp_cand = _chp_candidates(pe, loads, wind, cfg, chp_grid, dt)  # (K, C)
-    n_chp = chp_cand.shape[1]
-    n_combo = n_chp * len(b_grid)
-    res = _complete_dispatch(
-        chp_cand[:, :, None],
-        b_grid[None, None, :],
-        pe[:, None, None],
-        he[:, None, None],
-        loads,
-        wind,
-        cfg,
-        price,
-        dt,
-        options,
-    )
-    pen_f = res.penalty.reshape(len(pe), n_combo)
-    cost_f = res.cost.reshape(len(pe), n_combo)
-    out_f = res.output.reshape(len(pe), n_combo)
-    mask = np.ones_like(pen_f, dtype=bool)
-    for key, tol in ((pen_f, _PENALTY_TOL), (cost_f, _COST_TOL), (out_f, _KEY_TOL)):
-        masked = np.where(mask, key, np.inf)
-        best = masked.min(axis=1, keepdims=True)
-        mask &= masked <= best + tol
-    combo = mask.argmax(axis=1)
-    rows = np.arange(len(pe))
-    return _BestCompletion(
-        penalty=pen_f[rows, combo],
-        cost=cost_f[rows, combo],
-        output=out_f[rows, combo],
-        chp=chp_cand[rows, combo // len(b_grid)],
-        b=b_grid[combo % len(b_grid)],
-    )
-
-
-class _CommunityTable(NamedTuple):
-    penalty: np.ndarray  # (|ext_p|, |ext_h|) best penalty per exchange pair
-    cost: np.ndarray
-    output: np.ndarray
-    chp: np.ndarray      # best CHP electric setpoint per exchange pair
-    b: np.ndarray        # best heat-to-power ratio per exchange pair
-    chp_grid: np.ndarray
-    b_grid: np.ndarray
-
-
-def _community_table(
-    loads: CommunityLoads,
-    wind: float,
-    cfg: CommunityConfig,
-    price: FuelPrice,
-    ext_p: np.ndarray,
-    ext_h: np.ndarray,
-    grid_n: int,
-    dt: float,
-    options: BalanceOptions = BalanceOptions(),
-) -> _CommunityTable:
-    chp_grid = np.linspace(cfg.chp.p_min, cfg.chp.p_max, grid_n)
-    b_grid = np.linspace(cfg.chp.b_min, cfg.chp.b_max, grid_n)
-    shape = (len(ext_p), len(ext_h))
-    pen = np.empty(shape)
-    cost = np.empty(shape)
-    out = np.empty(shape)
-    chp = np.empty(shape)
-    b = np.empty(shape)
-    # Chunk over the electric-exchange axis to bound peak memory.
-    for i, pe in enumerate(ext_p):
-        best = _best_over_chp_grid(
-            np.full(len(ext_h), pe), ext_h, loads, wind, cfg, price, chp_grid, b_grid, dt, options
-        )
-        pen[i] = best.penalty
-        cost[i] = best.cost
-        out[i] = best.output
-        chp[i] = best.chp
-        b[i] = best.b
-    return _CommunityTable(pen, cost, out, chp, b, chp_grid, b_grid)
-
-
-def _system_keys(
-    pe: np.ndarray,
-    he: np.ndarray,
-    chp: np.ndarray,
-    b: np.ndarray,
-    loads: Sequence[CommunityLoads],
-    wind: Sequence[float],
-    cfgs: Sequence[CommunityConfig],
-    price: FuelPrice,
-    dt: float,
-    options: BalanceOptions = BalanceOptions(),
-):
-    """Penalty/cost/tie-break keys of full candidate states.
-
-    ``pe, he, chp, b`` have shape (3,) or (3, K) for K candidate states.
-    Returns key arrays of shape (K,) (or scalars for a single state).
-    """
-    parts = [
-        _complete_dispatch(chp[i], b[i], pe[i], he[i], loads[i], wind[i], cfgs[i], price, dt, options)
-        for i in range(N_COMMUNITIES)
-    ]
-    penalty = sum(p.penalty for p in parts)
-    cost = sum(p.cost for p in parts)
-    exch = sum(np.abs(pe[i]) + np.abs(he[i]) for i in range(N_COMMUNITIES))
-    output = sum(p.output for p in parts)
-    return penalty, cost, exch, output, parts
-
-
-def _refine(
-    state: dict,
-    steps: dict,
-    grids: list[tuple[np.ndarray, np.ndarray]],
-    loads,
-    wind,
-    cfgs,
-    price,
-    limits: ExchangeLimits,
-    dt: float,
-    options: BalanceOptions = BalanceOptions(),
-) -> dict:
-    """One coordinate-descent pass at ten times the grid resolution.
-
-    Exchange coordinates come first and are evaluated the same way the
-    table phase evaluated them, re-optimizing every community over its CHP
-    grid per candidate; that keeps the scan aware of the CHP/exchange
-    coupling.  The CHP setpoints themselves are then polished per
-    community at fixed exchanges.
-    """
-
-    def local_values(center, step, lo, hi):
-        vals = center + np.arange(-10, 11) * (step / 10.0)
-        vals = np.clip(vals, lo, hi)
-        return np.unique(np.append(vals, center))
-
-    pe = np.array(state["pe"], dtype=float)
-    he = np.array(state["he"], dtype=float)
-    chp = np.array(state["chp"], dtype=float)
-    b = np.array(state["b"], dtype=float)
-
-    # Exchange coordinates: vary one free value, conservation fixes the third.
-    for which, step, bound in (("pe", steps["pe"], limits.p_max), ("he", steps["he"], limits.h_max)):
-        vec = pe if which == "pe" else he
-        for j in (0, 1):
-            other = vec[1 - j]
-            cand = local_values(vec[j], step, -bound, bound)
-            third = -(cand + other)
-            ok = (np.abs(third) <= bound + 1e-12) & (
-                np.abs(cand) + np.abs(other) + np.abs(third) <= 2.0 * bound + 1e-12
-            )
-            cand, third = cand[ok], third[ok]
-            if cand.size == 0:
-                continue
-            trial = _tile(vec, len(cand))
-            trial[j] = cand
-            trial[2] = third
-            pe_t = trial if which == "pe" else _tile(pe, len(cand))
-            he_t = trial if which == "he" else _tile(he, len(cand))
-            per_community = [
-                _best_over_chp_grid(
-                    pe_t[i], he_t[i], loads[i], float(wind[i]), cfgs[i], price,
-                    grids[i][0], grids[i][1], dt, options,
-                )
-                for i in range(N_COMMUNITIES)
-            ]
-            pen = sum(pc.penalty for pc in per_community)
-            cost = sum(pc.cost for pc in per_community)
-            out = sum(pc.output for pc in per_community)
-            exch = np.abs(pe_t).sum(axis=0) + np.abs(he_t).sum(axis=0)
-            best = _lex_best([pen, cost, exch, out], [_PENALTY_TOL, _COST_TOL, _KEY_TOL, _KEY_TOL])
-            vec[j] = cand[best]
-            vec[2] = third[best]
-            for i in range(N_COMMUNITIES):
-                chp[i] = per_community[i].chp[best]
-                b[i] = per_community[i].b[best]
-
-    # CHP coordinates per community, completion solved at fixed exchanges.
-    def scan(pe_t, he_t, chp_t, b_t) -> int:
-        pen, cost, exch, out, _ = _system_keys(pe_t, he_t, chp_t, b_t, loads, wind, cfgs, price, dt, options)
-        return _lex_best(
-            [np.asarray(pen), np.asarray(cost), np.asarray(exch), np.asarray(out)],
-            [_PENALTY_TOL, _COST_TOL, _KEY_TOL, _KEY_TOL],
-        )
-
+    carry = deliverable_heat_power(fleet, 1.0, dt)
     for i in range(N_COMMUNITIES):
-        for key in ("chp", "b"):
-            arr = chp if key == "chp" else b
-            lo, hi = (
-                (cfgs[i].chp.p_min, cfgs[i].chp.p_max)
-                if key == "chp"
-                else (cfgs[i].chp.b_min, cfgs[i].chp.b_max)
-            )
-            cand = local_values(arr[i], steps[key][i], lo, hi)
-            trial = _tile(arr, len(cand))
-            trial[i] = cand
-            if key == "chp":
-                best = scan(_tile(pe, len(cand)), _tile(he, len(cand)), trial, _tile(b, len(cand)))
-            else:
-                best = scan(_tile(pe, len(cand)), _tile(he, len(cand)), _tile(chp, len(cand)), trial)
-            arr[i] = cand[best]
+        v, r = i * nv, i * nr
+        q, b_min, b_max = fleet.q[i], box_lo[i, B_CHP], box_hi[i, B_CHP]
 
-    return {"pe": pe, "he": he, "chp": chp, "b": b}
+        def row(k, coeffs, rhs, plus, minus=None):
+            """Row k with the given coefficients; its first basic column is
+            ``plus`` (coefficient +1), or ``minus`` (-1) where rhs < 0."""
+            for col, value in coeffs.items():
+                a[r + k, v + col] = value
+            b[:, r + k] = rhs
+            short[r + k], over[r + k] = v + plus, v + (plus if minus is None else minus)
+
+        row(_ELEC, {_P: 1.0, _TP: 1.0, _W: -q, _GT: 1.0, _WIND: 1.0, _PE_IN: 1.0, _PE_OUT: -1.0,
+                    _E_SHORT: 1.0, _E_OVER: -1.0}, p_load[:, i], _E_SHORT, _E_OVER)
+        supply = {_P: b_min, _HX: 1.0, _GB: 1.0, _HE_IN: 1.0, _HE_OUT: -1.0}
+        if cap:
+            row(_HEAT_ROW, {_HEAT: 1.0, _H_SHORT: 1.0, _H_OVER: -1.0}, h_demand[:, i], _H_SHORT, _H_OVER)
+            row(_SUPPLY, {_HEAT: 1.0, _S_SUPPLY: 1.0, **{c: -x for c, x in supply.items()}}, 0.0, _S_SUPPLY)
+            row(_CARRY, {_HEAT: 1.0, _W: -carry[i], _S_CARRY: 1.0}, 0.0, _S_CARRY)
+            lo[v + _HEAT] = -(box_hi[i, H_EXCH] + fleet.loss[i])  # below every supply, so never binding
+        else:
+            row(_HEAT_ROW, {**supply, _H_SHORT: 1.0, _H_OVER: -1.0}, h_demand[:, i], _H_SHORT, _H_OVER)
+        row(_WATER, {_W: 1.0, _W_SHORT: 1.0, _W_OVER: -1.0}, w_load[:, i], _W_SHORT, _W_OVER)
+        row(_CHP_ROW, {_HX: 1.0, _P: -(b_max - b_min), _S_CHP: 1.0}, 0.0, _S_CHP)
+        row(_PUMP, {_W: q, _TP: -1.0, _S_PUMP: 1.0}, 0.0, _S_PUMP)
+
+        for col, k in ((_P, P_CHP), (_TP, P_TP), (_W, W_RATE), (_GT, P_GT), (_GB, H_GB)):
+            lo[v + col], hi[v + col] = box_lo[i, k], box_hi[i, k]
+        hi[v + _HX] = (b_max - b_min) * box_hi[i, P_CHP]
+        hi[v + _PE_IN] = hi[v + _PE_OUT] = box_hi[i, P_EXCH]
+        hi[v + _HE_IN] = hi[v + _HE_OUT] = box_hi[i, H_EXCH]
+        a[-2, v + _PE_IN], a[-2, v + _PE_OUT] = 1.0, -1.0
+        a[-1, v + _HE_IN], a[-1, v + _HE_OUT] = 1.0, -1.0
+
+        objectives[0, v + np.array([_E_SHORT, _E_OVER, _H_SHORT, _H_OVER, _W_SHORT, _W_OVER])] = (1, 1, 1, 1, q, q)
+        eta = fleet.eta[i]
+        objectives[1, v + np.array([_P, _HX, _TP, _GT, _GB])] = unit * np.array(
+            [(1.0 + b_min) / eta[0], 1.0 / eta[1], 1.0 / eta[2], 1.0 / eta[4], 1.0 / eta[5]]
+        )
+        objectives[2, v + np.array([_PE_IN, _PE_OUT, _HE_IN, _HE_OUT])] = 1.0
+        objectives[3, v + np.array([_P, _HX, _TP, _GT, _GB])] = (1.0 + b_min, 1.0, 1.0, 1.0, 1.0)
+    # Fixed at zero, these start the zero-sum rows' basis and never return.
+    a[-2, -2] = a[-1, -1] = 1.0
+    short[-2:] = over[-2:] = (n - 2, n - 1)
+    hi[-2:] = 0.0
+
+    steps = len(p_load)
+    if options.exchange_loss:
+        exports = np.array(list(itertools.product((False, True), repeat=N_COMMUNITIES)))
+    else:
+        exports = np.zeros((1, N_COMMUNITIES), dtype=bool)
+    k = steps * len(exports)
+    lo, hi = np.broadcast_to(lo, (k, n)).copy(), np.broadcast_to(hi, (k, n)).copy()
+    b = np.repeat(b, len(exports), axis=0)
+    export = np.tile(exports, (steps, 1))  # (K, 3)
+    for i in range(N_COMMUNITIES):
+        v, r = i * nv, i * nr
+        hi[:, v + _WIND] = np.repeat(wind[:, i], len(exports))
+        if options.exchange_loss:
+            hi[export[:, i], v + _HE_IN] = 0.0
+            hi[~export[:, i], v + _HE_OUT] = 0.0
+        debit = np.where(export[:, i], fleet.loss[i], 0.0)
+        if cap:
+            b[:, r + _SUPPLY] = -debit
+        else:
+            b[:, r + _HEAT_ROW] += debit
+    return _Programs(a, b, lo, hi, objectives, short, over, nv)
 
 
-def _tile(vec: np.ndarray, k: int) -> np.ndarray:
-    return np.repeat(np.asarray(vec, dtype=float)[:, None], k, axis=1)
+def _lexicographic_simplex(prog: _Programs) -> np.ndarray:
+    """Optimal (K, n) vertices of the programs, minimizing each objective
+    in turn on the optimal face of the ones before.
+
+    Bounded-variable tableau simplex with Bland's rule, run on all K
+    tableaus at once.  A stage's face is kept by fixing every nonbasic
+    column with a nonzero reduced cost at its bound.
+    """
+    a, lo, hi = prog.a, prog.lo, prog.hi
+    k_all, (m, n) = len(prog.b), a.shape
+    res = prog.b - np.sum(a * lo[:, None, :], axis=-1)  # (K, m), nonbasics at their lower bounds
+    sign = np.where(res >= 0.0, 1.0, -1.0)
+    basis = np.where(res >= 0.0, prog.short, prog.over)
+    tab = a * sign[:, :, None]
+    beta = np.abs(res)
+    z = prog.objectives - np.sum(prog.objectives[:, basis].transpose(1, 0, 2)[..., None] * tab[:, None], axis=2)
+    ks = np.arange(k_all)
+    basic = np.zeros((k_all, n), dtype=bool)
+    basic[ks[:, None], basis] = True
+    upper = np.zeros((k_all, n), dtype=bool)
+    movable = hi > lo
+    for stage in range(len(prog.objectives)):
+        for _ in range(50 * (m + n)):
+            d = z[:, stage]
+            enter = movable & ~basic & np.where(upper, d > _EPS, d < -_EPS)
+            act = np.flatnonzero(enter.any(axis=1))
+            if act.size == 0:
+                break
+            _pivot(act, enter[act].argmax(axis=1), tab, beta, z, basis, basic, upper, lo, hi)
+        else:
+            raise RuntimeError("simplex did not converge")
+        movable &= basic | (np.abs(z[:, stage]) <= _EPS)
+    x = np.where(upper, hi, lo)
+    blo, bhi = lo[ks[:, None], basis], hi[ks[:, None], basis]
+    beta = np.where(np.abs(beta - blo) <= _SNAP, blo, np.where(np.abs(beta - bhi) <= _SNAP, bhi, beta))
+    x[ks[:, None], basis] = beta
+    return x
+
+
+def _pivot(act, j, tab, beta, z, basis, basic, upper, lo, hi) -> None:
+    """Move column ``j`` of each tableau ``act`` off its bound as far as the
+    basic values allow: a bound flip, or a pivot with the first blocking
+    row by basis index (Bland)."""
+    k = np.arange(len(act))
+    col = tab[act, :, j]  # (k, m)
+    step = np.where(upper[act, j], -1.0, 1.0)
+    g = col * step[:, None]
+    bas = basis[act]
+    val = beta[act]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(
+            g > _EPS, (val - lo[act[:, None], bas]) / g,
+            np.where(g < -_EPS, (hi[act[:, None], bas] - val) / -g, np.inf),
+        )
+    ratio = np.maximum(ratio, 0.0)
+    t_row = ratio.min(axis=1)
+    span = hi[act, j] - lo[act, j]
+    t = np.minimum(span, t_row)
+    if not np.isfinite(t).all():
+        raise RuntimeError("unbounded dispatch program")
+    entering = np.where(upper[act, j], hi[act, j], lo[act, j]) + step * t
+    beta[act] = val - (step * t)[:, None] * col
+
+    flip = span <= t_row
+    upper[act[flip], j[flip]] ^= True
+    piv = ~flip
+    act, j, k = act[piv], j[piv], np.arange(piv.sum())
+    if act.size == 0:
+        return
+    tied = ratio[piv] <= t_row[piv, None] * (1.0 + 1e-12) + 1e-12
+    r = np.where(tied, bas[piv], np.iinfo(basis.dtype).max).argmin(axis=1)
+    leaving = basis[act, r]
+    upper[act, leaving] = g[piv, r] < 0.0
+    basic[act, leaving] = False
+    basic[act, j] = True
+    basis[act, r] = j
+    beta[act, r] = entering[piv]
+
+    block = tab[act]
+    pivot_row = block[k, r] / col[piv, r][:, None]
+    block -= col[piv][:, :, None] * pivot_row[:, None, :]
+    block[k, r] = pivot_row
+    tab[act] = block
+    zb = z[act]
+    zb -= zb[k, :, j][:, :, None] * pivot_row[:, None, :]
+    z[act] = zb
+
+
+def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig, dt: float) -> np.ndarray:
+    """(K, 3, 8) setpoints of program solutions, clamped into their boxes."""
+    box_lo, box_hi = setpoint_box(cfg.fleet, cfg.limits, dt)
+    c = x[:, : N_COMMUNITIES * prog.nv].reshape(len(x), N_COMMUNITIES, prog.nv)
+    p = c[..., _P]
+    b = box_lo[:, B_CHP] + c[..., _HX] / p
+    rows = np.stack([
+        p, b, c[..., _TP], c[..., _W], c[..., _GT], c[..., _GB],
+        c[..., _PE_IN] - c[..., _PE_OUT], c[..., _HE_IN] - c[..., _HE_OUT],
+    ], axis=-1)
+    return clip_box(rows, box_lo, box_hi, cfg.fleet.q)
+
+
+def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig, dt: float = 1.0) -> list[OracleStep]:
+    """Exact optimal dispatch of each step of (T, 3) loads and wind.
+
+    Per step: the least total imbalance, then the least fuel cost at it,
+    then the least exchanged power, then the least device output.  Under
+    ``exchange_loss`` every export-sign pattern is solved, and the step
+    keeps the pattern whose settled dispatch is best by the same keys (the
+    loss is debited only where heat really leaves).  ``feasible`` is
+    whether the step balances exactly (within 1e-6 kW-eq).
+    """
+    p_load, h_load, w_load, wind = (np.asarray(v, dtype=float) for v in (p_load, h_load, w_load, wind))
+    steps = len(p_load)
+    prog = _programs(p_load, h_load, w_load, wind, system_cfg, dt)
+    x = _setpoints(_lexicographic_simplex(prog), prog, system_cfg, dt)
+    patterns = len(x) // steps
+    loads = [np.repeat(v, patterns, axis=0) for v in (p_load, h_load, w_load, wind)]
+    settled = settle(x, *loads, system_cfg.fleet, system_cfg.options, dt)
+    cost = fuel_cost(x, system_cfg.fleet, system_cfg.price)
+    best = patterns * np.arange(steps)
+    if patterns > 1:
+        exchange = np.abs(x[..., P_EXCH]) + np.abs(x[..., H_EXCH])
+        output = x[..., P_CHP] * (1.0 + x[..., B_CHP]) + x[..., P_TP] + x[..., P_GT] + x[..., H_GB]
+        keys = np.stack([sum_last(v) for v in (settled.penalty, cost, exchange, output)], axis=-1)
+        best += _first_best(keys.reshape(steps, patterns, -1))
+    out = []
+    for k in best.tolist():
+        penalty = left_sum(settled.penalty[k].tolist())
+        used = (loads[3][k] - settled.curtailed[k]).tolist()
+        out.append(OracleStep(
+            decisions=tuple(DispatchDecision(*row, wind_used=u) for row, u in zip(x[k].tolist(), used)),
+            cost=CostBreakdown.from_parts(cost[k]),
+            penalty=penalty,
+            feasible=penalty <= _FEASIBLE_TOL,
+        ))
+    return out
+
+
+def _first_best(keys: np.ndarray) -> np.ndarray:
+    """Per row of (rows, candidates, keys), the first candidate whose keys
+    are lexicographically least, each key within ``_SNAP`` of its least."""
+    mask = np.ones(keys.shape[:2], dtype=bool)
+    for key in np.moveaxis(keys, -1, 0):
+        key = np.where(mask, key, np.inf)
+        mask &= key <= key.min(axis=1, keepdims=True) + _SNAP
+    return mask.argmax(axis=1)
 
 
 def oracle_dispatch(
@@ -852,98 +718,14 @@ def oracle_dispatch(
     grid_n: int = 21,
     dt: float = 1.0,
 ) -> OracleStep:
-    """Cheapest exactly-balanced dispatch found by exhaustive grid search.
+    """Exact optimal dispatch of one step (``oracle_day`` of one step).
 
-    Searches a ``grid_n``-point discretization of the free controls,
-    restricted to zero-residual completions whenever they exist, then runs
-    one coordinate-descent refinement pass at ten times the resolution.
-    When no grid point balances exactly, the minimal-penalty dispatch is
-    returned with ``feasible`` set to False.  Deterministic for fixed
-    inputs; ties prefer smaller exchange magnitudes, then smaller total
-    device output.
+    ``grid_n`` is accepted for compatibility and ignored by the exact
+    solver; it must still be at least 3.
     """
     if grid_n < 3:
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     if len(loads) != N_COMMUNITIES or len(wind_avail) != N_COMMUNITIES:
         raise ValueError("loads and wind_avail must cover all three communities")
-    cfgs = system_cfg.communities
-    price = system_cfg.price
-    lim = system_cfg.limits
-
-    base_p = np.linspace(-lim.p_max, lim.p_max, grid_n)
-    base_h = np.linspace(-lim.h_max, lim.h_max, grid_n)
-    ext_p, bp_idx, third_p, tp_idx, valid_p = _exchange_grids(base_p, lim.p_max)
-    ext_h, bh_idx, third_h, th_idx, valid_h = _exchange_grids(base_h, lim.h_max)
-
-    options = system_cfg.options
-    tables = [
-        _community_table(loads[i], float(wind_avail[i]), cfgs[i], price, ext_p, ext_h, grid_n, dt, options)
-        for i in range(N_COMMUNITIES)
-    ]
-
-    def pick(table: _CommunityTable, attr: str, first: bool) -> np.ndarray:
-        arr = getattr(table, attr)
-        if first:
-            sel = arr[np.ix_(bp_idx, bh_idx)]  # indexed by (i, k)
-            return sel[:, None, :, None]
-        sel = arr[np.ix_(bp_idx, bh_idx)]  # indexed by (j, l)
-        return sel[None, :, None, :]
-
-    def pick_third(table: _CommunityTable, attr: str) -> np.ndarray:
-        arr = getattr(table, attr)
-        return arr[tp_idx[:, :, None, None], th_idx[None, None, :, :]]
-
-    invalid = ~valid_p[:, :, None, None] | ~valid_h[None, None, :, :]
-    total_pen = pick(tables[0], "penalty", True) + pick(tables[1], "penalty", False) + pick_third(tables[2], "penalty")
-    total_cost_arr = pick(tables[0], "cost", True) + pick(tables[1], "cost", False) + pick_third(tables[2], "cost")
-    total_out = pick(tables[0], "output", True) + pick(tables[1], "output", False) + pick_third(tables[2], "output")
-    abs_p = np.abs(base_p)
-    abs_h = np.abs(base_h)
-    exch = (
-        (abs_p[:, None] + abs_p[None, :] + np.abs(third_p))[:, :, None, None]
-        + (abs_h[:, None] + abs_h[None, :] + np.abs(third_h))[None, None, :, :]
-    )
-    total_pen = np.where(invalid, np.inf, total_pen)
-
-    flat = _lex_best(
-        [total_pen.ravel(), total_cost_arr.ravel(), exch.ravel(), total_out.ravel()],
-        [_PENALTY_TOL, _COST_TOL, _KEY_TOL, _KEY_TOL],
-    )
-    i, j, k, l = np.unravel_index(flat, total_pen.shape)
-
-    pe = np.array([base_p[i], base_p[j], third_p[i, j]])
-    he = np.array([base_h[k], base_h[l], third_h[k, l]])
-    chp = np.empty(N_COMMUNITIES)
-    b = np.empty(N_COMMUNITIES)
-    exch_idx = [(bp_idx[i], bh_idx[k]), (bp_idx[j], bh_idx[l]), (tp_idx[i, j], th_idx[k, l])]
-    for ci, (pi, hi) in enumerate(exch_idx):
-        chp[ci] = tables[ci].chp[pi, hi]
-        b[ci] = tables[ci].b[pi, hi]
-
-    steps = {
-        "pe": base_p[1] - base_p[0] if grid_n > 1 else 0.0,
-        "he": base_h[1] - base_h[0] if grid_n > 1 else 0.0,
-        "chp": [t.chp_grid[1] - t.chp_grid[0] for t in tables],
-        "b": [t.b_grid[1] - t.b_grid[0] for t in tables],
-    }
-    grids = [(t.chp_grid, t.b_grid) for t in tables]
-    state = _refine(
-        {"pe": pe, "he": he, "chp": chp, "b": b}, steps, grids, loads, wind_avail, cfgs, price, lim, dt, options
-    )
-
-    *_, parts = _system_keys(state["pe"], state["he"], state["chp"], state["b"], loads, wind_avail, cfgs, price, dt, options)
-    x = np.column_stack([
-        state["chp"], state["b"], [res.p_tp for res in parts], [res.w_rate for res in parts],
-        [res.p_gt for res in parts], [res.h_gb for res in parts], state["pe"], state["he"],
-    ])
-    wind = np.asarray(wind_avail, dtype=float)
-    p_load, h_load, w_load = np.array([[d.p_load, d.h_load, d.w_load] for d in loads]).T
-    settled = settle(x, p_load, h_load, w_load, wind, system_cfg.fleet, options, dt)
-    wind_used = wind - settled.curtailed
-    penalty = left_sum(settled.penalty.tolist())
-    return OracleStep(
-        decisions=tuple(DispatchDecision(*row, wind_used=used) for row, used in zip(x.tolist(), wind_used.tolist())),
-        cost=CostBreakdown.from_parts(fuel_cost(x, system_cfg.fleet, price)),
-        penalty=penalty,
-        feasible=penalty <= _FEASIBLE_TOL,
-    )
+    p_load, h_load, w_load = np.array([[[d.p_load, d.h_load, d.w_load] for d in loads]]).transpose(2, 0, 1)
+    return oracle_day(p_load, h_load, w_load, np.array([wind_avail], dtype=float), system_cfg, dt)[0]

@@ -366,6 +366,64 @@ class TestOracleCommand:
         assert costs[1] <= costs[0] + 1e-6
 
 
+class TestUsageErrors:
+    """A command line that does not parse fails as every other failure does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--grid-n", "x", "--out", "o"],
+        ["train", "--mode", "bogus", "--out", "t"],
+        [],
+        ["no-such-verb"],
+    ], ids=["bad-int", "bad-choice", "no-verb", "unknown-verb"])
+    def test_exit_1_with_a_json_error(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "UsageError"
+        assert "Traceback" not in err and "usage:" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["oracle", "--help"]])
+    def test_help_still_prints_and_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_grid_n_below_3_is_rejected_before_solving(self, workspace, capsys, monkeypatch):
+        tmp, cfg, scenario = workspace
+        monkeypatch.setattr(cli, "oracle_day", lambda *a, **k: pytest.fail("solved despite a bad --grid-n"))
+        code = main(["oracle", "--config", str(cfg), "--scenario", str(scenario), "--grid-n", "2", "--out", str(tmp / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--grid-n" in err["message"]
+        assert not (tmp / "o").exists()
+
+
+class TestBadOutPath:
+    """An output path below a file fails with a JSON error before any work."""
+
+    @pytest.mark.parametrize("verb", ["oracle", "train", "generate-scenario"])
+    def test_exit_1_before_the_work(self, workspace, capsys, monkeypatch, verb):
+        tmp, cfg, scenario = workspace
+        blocker = tmp / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        def fail(*args, **kwargs):
+            pytest.fail("work started")
+
+        monkeypatch.setattr(cli, "oracle_day", fail)
+        monkeypatch.setattr(cli.L, "train_mappo", fail)
+        argv = {
+            "oracle": ["oracle", "--config", str(cfg), "--scenario", str(scenario), "--out", str(blocker / "sub")],
+            "train": ["train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(blocker / "sub")],
+            "generate-scenario": ["generate-scenario", "--out", str(blocker / "x.csv")],
+        }[verb]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert json.loads(err)["error"] in {"NotADirectoryError", "FileExistsError"}
+
+
 class TestConfigValidation:
     def test_unknown_key_rejected(self, workspace, capsys):
         tmp, _, scenario = workspace

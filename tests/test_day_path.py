@@ -44,7 +44,7 @@ from iesdispatch.system import (
     DispatchDecision,
     SystemConfig,
     left_sum,
-    oracle_dispatch,
+    oracle_day,
 )
 from iesdispatch.thermal import PipelineParams
 
@@ -262,12 +262,11 @@ class TestOracleRows:
         run_cfg = load_config(None, {"system": {"options": options}})
         sys_cfg, dt = run_cfg.system, run_cfg.system.price.dt
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=22))
-        for t in range(EPISODE_STEPS):
+        steps = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg, dt)
+        for t, (step, record) in enumerate(zip(steps, cli._oracle_records(steps, scenario, run_cfg))):
             loads = [CommunityLoads(*(float(q[i, t]) for q in (scenario.p_load, scenario.h_load, scenario.w_load)))
                      for i in range(N_AGENTS)]
             wind = [float(scenario.p_wind[i, t]) for i in range(N_AGENTS)]
-            step = oracle_dispatch(loads, wind, sys_cfg, grid_n=5, dt=dt)
-            record = cli._oracle_record(step, scenario, run_cfg, t)
 
             cfgs = sys_cfg.communities
             balances = tuple(
