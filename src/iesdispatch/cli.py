@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import learner as L
 from .config import ConfigError, RunConfig, config_hash, load_config
-from .env import DispatchEnv, StepRecord, settle_day
+from .env import DayEvaluation, DispatchEnv, settle_day
 from .scenario import (
     ScenarioData,
     ScenarioFormatError,
@@ -31,12 +32,14 @@ from .scenario import (
     scenario_hash,
 )
 from .system import (
-    OracleStep,
+    FEASIBLE_TOL,
+    H_EXCH,
+    P_EXCH,
     SystemConfig,
     assert_within_limits,
     left_sum,
     oracle_day,
-    setpoint_rows,
+    sum_last,
 )
 
 SCHEDULE_COLUMNS = (
@@ -81,92 +84,53 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def schedule_rows(records: Sequence[StepRecord], episode: int = 0) -> list[dict]:
-    rows = []
-    for record in records:
-        for i, decision in enumerate(record.decisions):
-            bal = record.balances[i]
-            rows.append(
-                {
-                    "episode": episode,
-                    "step": record.t,
-                    "community": i + 1,
-                    "p_chp_kw": decision.p_chp,
-                    "b_chp": decision.b_chp,
-                    "h_chp_kw": decision.h_chp,
-                    "p_tp_kw": decision.p_tp,
-                    "w_rate_m3h": decision.w_rate,
-                    "p_gt_kw": decision.p_gt,
-                    "h_gb_kw": decision.h_gb,
-                    "p_exch_kw": decision.p_exch,
-                    "h_exch_kw": decision.h_exch,
-                    "wind_avail_kw": record.wind_avail[i],
-                    "wind_used_kw": decision.wind_used,
-                    "curtailed_kw": bal.curtailed,
-                    "d_elec_kw": bal.d_elec,
-                    "d_heat_kw": bal.d_heat,
-                    "d_water_m3h": bal.d_water,
-                    "penalty_kw_eq": bal.penalty,
-                    "cost_yuan": record.costs[i],
-                }
-            )
-    return rows
+def summarize(day: DayEvaluation, dt: float = 1.0) -> dict:
+    """Totals of an evaluated day, each added left to right in the
+    schedule's row order (steps, then communities), so that each equals
+    the sum of the cells ``write_schedule_csv`` writes."""
+    x, balance = day.setpoints, day.balance
 
+    def total(values) -> float:
+        return left_sum(np.ravel(values).tolist())
 
-def summarize_rows(rows: Sequence[dict], dt: float = 1.0) -> dict:
-    """Aggregate a schedule by exact summation of the emitted row values."""
-    per_community = {str(c): 0.0 for c in (1, 2, 3)}
-    totals = {"penalty_kw_eq": 0.0, "wind_avail_kwh": 0.0, "wind_used_kwh": 0.0, "curtailed_kwh": 0.0}
-    exchange_abs = 0.0
-    for row in rows:
-        per_community[str(row["community"])] += row["cost_yuan"]
-        totals["penalty_kw_eq"] += row["penalty_kw_eq"]
-        totals["wind_avail_kwh"] += row["wind_avail_kw"] * dt
-        totals["wind_used_kwh"] += row["wind_used_kw"] * dt
-        totals["curtailed_kwh"] += row["curtailed_kw"] * dt
-        exchange_abs += abs(row["p_exch_kw"]) + abs(row["h_exch_kw"])
-    total_cost = left_sum(per_community.values())
-    avail = totals["wind_avail_kwh"]
+    per_community = {str(i + 1): total(day.cost[:, i]) for i in range(day.cost.shape[1])}
+    avail = total(day.wind * dt)
+    curtailed = total(balance.curtailed * dt)
     return {
         "per_community_cost": per_community,
-        "total_cost": total_cost,
-        "total_penalty_kw_eq": totals["penalty_kw_eq"],
+        "total_cost": left_sum(per_community.values()),
+        "total_penalty_kw_eq": total(balance.penalty),
         "wind_avail_kwh": avail,
-        "wind_used_kwh": totals["wind_used_kwh"],
-        "curtailed_kwh": totals["curtailed_kwh"],
-        "curtailment_rate": totals["curtailed_kwh"] / avail if avail > 0.0 else 0.0,
-        "exchange_abs_kwh": exchange_abs * dt,
+        "wind_used_kwh": total((day.wind - balance.curtailed) * dt),
+        "curtailed_kwh": curtailed,
+        "curtailment_rate": curtailed / avail if avail > 0.0 else 0.0,
+        "exchange_abs_kwh": total(np.abs(x[..., P_EXCH]) + np.abs(x[..., H_EXCH])) * dt,
     }
 
 
-def write_schedule_csv(
-    path: Path,
-    records: Sequence[StepRecord],
-    system_cfg: SystemConfig,
-    dt: float = 1.0,
-) -> list[dict]:
-    """Write the per-step schedule, re-validating every row's limits."""
-    for record in records:
-        for i, decision in enumerate(record.decisions):
-            assert_within_limits(decision, system_cfg.communities[i], system_cfg.limits, dt)
-        exch_p = sum(d.p_exch for d in record.decisions)
-        exch_h = sum(d.h_exch for d in record.decisions)
-        if abs(exch_p) > 1e-6 or abs(exch_h) > 1e-6:
-            raise ValueError(f"step {record.t}: exchanges do not conserve ({exch_p}, {exch_h})")
-    rows = schedule_rows(records)
+def write_schedule_csv(path: Path, day: DayEvaluation, system_cfg: SystemConfig, dt: float = 1.0) -> None:
+    """Write an evaluated day's schedule, one row per step and community,
+    after re-checking every setpoint's box and every step's conservation
+    of the exchanges."""
+    x, b = day.setpoints, day.balance
+    assert_within_limits(x, system_cfg.fleet, system_cfg.limits, dt)
+    net = sum_last(x[..., P_EXCH:].swapaxes(-1, -2))  # (T, 2): electricity, heat
+    leaks = np.flatnonzero((np.abs(net) > 1e-6).any(axis=-1))
+    if leaks.size:
+        raise ValueError(f"step {leaks[0]}: exchanges do not conserve {tuple(net[leaks[0]].tolist())}")
+    p_chp, b_chp, *rest = np.moveaxis(x, -1, 0)
+    cells = np.stack([p_chp, b_chp, b_chp * p_chp, *rest, day.wind, day.wind - b.curtailed, b.curtailed,
+                      b.d_elec, b.d_heat, b.d_water, b.penalty, day.cost], axis=-1)
+    rows = ([0, t, i + 1, *map(repr, row)] for t, step in enumerate(cells.tolist()) for i, row in enumerate(step))
+    _write_csv(path, SCHEDULE_COLUMNS, rows)
+
+
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(SCHEDULE_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in SCHEDULE_COLUMNS])
-    return rows
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):  # includes numpy float64 scalars
-        return repr(float(value))
-    return str(value)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -177,27 +141,19 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def write_training_log(path: Path, log: Sequence[L.LogRow]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAIN_LOG_COLUMNS)
-        for row in log:
-            writer.writerow(
-                [row.episode, _fmt(row.mean_reward), _fmt(row.total_cost), _fmt(row.total_penalty), _fmt(row.curtailment_kwh)]
-            )
+    _write_csv(path, TRAIN_LOG_COLUMNS, (
+        [row.episode, *map(repr, (row.mean_reward, row.total_cost, row.total_penalty, row.curtailment_kwh))]
+        for row in log
+    ))
 
 
 def write_reward_curve(path: Path, log: Sequence[L.LogRow], window: int = 50) -> None:
     """Episode/mean-reward pairs plus a trailing moving average."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("episode", "mean_reward", "moving_average"))
-        rewards = [row.mean_reward for row in log]
-        for i, row in enumerate(log):
-            lo = max(0, i + 1 - window)
-            avg = left_sum(rewards[lo : i + 1]) / (i + 1 - lo)
-            writer.writerow([row.episode, _fmt(row.mean_reward), _fmt(avg)])
+    rewards = [row.mean_reward for row in log]
+    averages = [left_sum(rewards[max(0, i + 1 - window) : i + 1]) / min(i + 1, window) for i in range(len(log))]
+    _write_csv(path, ("episode", "mean_reward", "moving_average"), (
+        [row.episode, repr(row.mean_reward), repr(avg)] for row, avg in zip(log, averages)
+    ))
 
 
 def _resolve_scenario(cfg: RunConfig, scenario_arg: str | None) -> ScenarioData:
@@ -230,8 +186,6 @@ def cmd_generate_scenario(args) -> int:
     cfg = _config_with_cli(args)
     spec = cfg.generator
     if getattr(args, "seed", None) is not None:
-        from dataclasses import replace
-
         spec = replace(spec, seed=args.seed)
     scenario = generate_scenario(spec)
     save_scenario(scenario, args.out)
@@ -264,7 +218,7 @@ def cmd_train(args) -> int:
 
 def _evaluate_checkpoint(
     checkpoint_path: str, ckpt: L.Checkpoint, cfg: RunConfig, scenario: ScenarioData
-) -> list[StepRecord]:
+) -> DayEvaluation:
     if ckpt.config_hash != config_hash(cfg):
         raise CheckpointMismatch(
             f"checkpoint {checkpoint_path} was trained under a different system configuration"
@@ -278,7 +232,7 @@ def _evaluate_checkpoint(
         scales=ckpt.scales,
         dt=cfg.system.price.dt,
     )
-    return L.greedy_rollout(env, ckpt.actors)
+    return L.greedy_day(env, ckpt.actors)
 
 
 def cmd_evaluate(args) -> int:
@@ -286,13 +240,11 @@ def cmd_evaluate(args) -> int:
     scenario = _resolve_scenario(cfg, args.scenario)
     ckpt = L.load_checkpoint(args.checkpoint)
     out = _out_dir(args)
-    records = _evaluate_checkpoint(args.checkpoint, ckpt, cfg, scenario)
-    rows = write_schedule_csv(out / "schedule.csv", records, cfg.system, cfg.system.price.dt)
-    summary = summarize_rows(rows, cfg.system.price.dt)
-    summary["mode"] = ckpt.mode
-    summary["config_hash"] = ckpt.config_hash
-    summary["scenario_hash"] = scenario_hash(scenario)
-    write_json(out / "summary.json", summary)
+    day = _evaluate_checkpoint(args.checkpoint, ckpt, cfg, scenario)
+    write_schedule_csv(out / "schedule.csv", day, cfg.system, cfg.system.price.dt)
+    summary = summarize(day, cfg.system.price.dt)
+    ids = {"mode": ckpt.mode, "config_hash": ckpt.config_hash, "scenario_hash": scenario_hash(scenario)}
+    write_json(out / "summary.json", {**summary, **ids})
     print(f"evaluated {ckpt.mode} checkpoint -> {out}")
     return 0
 
@@ -305,10 +257,8 @@ def cmd_compare(args) -> int:
     if ckpt_a.config_hash != ckpt_b.config_hash:
         raise CheckpointMismatch("checkpoints were trained under different system configurations")
     out = _out_dir(args)
-    records_a = _evaluate_checkpoint(args.checkpoint_a, ckpt_a, cfg, scenario)
-    records_b = _evaluate_checkpoint(args.checkpoint_b, ckpt_b, cfg, scenario)
-    summary_a = summarize_rows(schedule_rows(records_a), cfg.system.price.dt)
-    summary_b = summarize_rows(schedule_rows(records_b), cfg.system.price.dt)
+    summary_a = summarize(_evaluate_checkpoint(args.checkpoint_a, ckpt_a, cfg, scenario), cfg.system.price.dt)
+    summary_b = summarize(_evaluate_checkpoint(args.checkpoint_b, ckpt_b, cfg, scenario), cfg.system.price.dt)
     delta_total = summary_b["total_cost"] - summary_a["total_cost"]
     payload = {
         "a": {"checkpoint": args.checkpoint_a, "mode": ckpt_a.mode, **summary_a},
@@ -334,21 +284,14 @@ def cmd_oracle(args) -> int:
     scenario = _resolve_scenario(cfg, args.scenario)
     out = _out_dir(args)
     dt = cfg.system.price.dt
-    steps = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, cfg.system, dt)
-    rows = write_schedule_csv(out / "oracle_schedule.csv", _oracle_records(steps, scenario, cfg), cfg.system, dt)
-    summary = summarize_rows(rows, dt)
-    summary["grid_n"] = args.grid_n
-    summary["infeasible_steps"] = [t for t, step in enumerate(steps) if not step.feasible]
-    summary["scenario_hash"] = scenario_hash(scenario)
-    write_json(out / "oracle_summary.json", summary)
+    setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, cfg.system, dt)
+    day = settle_day(scenario, slice(None), setpoints, cfg.system, cfg.reward, dt)
+    write_schedule_csv(out / "oracle_schedule.csv", day, cfg.system, dt)
+    infeasible = np.flatnonzero(sum_last(day.balance.penalty) > FEASIBLE_TOL).tolist()
+    ids = {"grid_n": args.grid_n, "infeasible_steps": infeasible, "scenario_hash": scenario_hash(scenario)}
+    write_json(out / "oracle_summary.json", {**summarize(day, dt), **ids})
     print(f"oracle dispatch -> {out}")
     return 0
-
-
-def _oracle_records(steps: Sequence[OracleStep], scenario: ScenarioData, cfg: RunConfig) -> list[StepRecord]:
-    """The oracle's day, settled and priced by the kernels that evaluate a policy."""
-    setpoints = np.stack([setpoint_rows(step.decisions) for step in steps])
-    return settle_day(scenario, slice(None), setpoints, cfg.system, cfg.reward, cfg.system.price.dt).records()
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -158,7 +158,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     layers = []
     if path is not None:
         with Path(path).open("r", encoding="utf-8") as fh:
-            user_tree = yaml.safe_load(fh)
+            try:
+                user_tree = yaml.safe_load(fh)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         if user_tree is None:
             user_tree = {}
         if not isinstance(user_tree, dict):

@@ -27,6 +27,7 @@ from .env import (
     N_AGENTS,
     OBSERVATION_MODES,
     STATE_DIM,
+    DayEvaluation,
     DispatchEnv,
     RewardParams,
     StepRecord,
@@ -478,11 +479,16 @@ def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     return _train(env, cfg, independent=True)
 
 
-def greedy_rollout(env: DispatchEnv, actors: Sequence[GaussianActor]) -> list[StepRecord]:
-    """One deterministic episode driven by the policy means, no sampling,
-    evaluated in one ``evaluate_day`` and returned as per-step records."""
+def greedy_day(env: DispatchEnv, actors: Sequence[GaussianActor]) -> DayEvaluation:
+    """One deterministic day driven by the policy means, no sampling,
+    evaluated in one ``evaluate_day``."""
     means = np.stack([actor.net.forward_rows(env.observations[k]) for k, actor in enumerate(actors)], axis=1)
-    return evaluate_day(env.scenario, means, env.system_cfg, env.reward_params, env.mode, env.dt).records()
+    return evaluate_day(env.scenario, means, env.system_cfg, env.reward_params, env.mode, env.dt)
+
+
+def greedy_rollout(env: DispatchEnv, actors: Sequence[GaussianActor]) -> list[StepRecord]:
+    """``greedy_day`` as per-step records."""
+    return greedy_day(env, actors).records()
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +535,8 @@ def save_checkpoint(path: str | Path, result: TrainResult, config_hash: str, sce
 
 
 def _require(blob: dict, keys, where: str) -> None:
+    if not isinstance(blob, dict):
+        raise ValueError(f"{where}: must be an object, got {type(blob).__name__}")
     missing = [key for key in keys if key not in blob]
     if missing:
         raise ValueError(f"{where}: missing keys {missing}")
@@ -555,14 +563,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{where}: mode must be one of {MODES}, got {mode!r}")
     if observation not in OBSERVATION_MODES:
         raise ValueError(f"{where}: observation must be one of {OBSERVATION_MODES}, got {observation!r}")
+    reward = payload["reward"]
+    _require(reward, ("z", "u", "kappa"), f"{where}: reward")
+    for key in ("z", "u", "kappa"):
+        value = reward[key]
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"{where}: reward.{key} must be a finite number, got {value!r}")
+    try:
+        scales = np.asarray(payload["scales"], dtype=float)
+    except (TypeError, ValueError):
+        scales = np.empty(0)
+    shape = (N_AGENTS, STATE_DIM // N_AGENTS)
+    if scales.shape != shape or not (np.isfinite(scales) & (scales > 0.0)).all():
+        raise ValueError(f"{where}: scales must be a {shape} array of finite positive values")
     independent = mode == "independent"
     obs_dim = observation_dim(observation)
     critic_dim = obs_dim if independent else STATE_DIM
     n_critics = N_AGENTS if independent else 1
-    if len(payload["actors"]) != N_AGENTS:
-        raise ValueError(f"{where}: {len(payload['actors'])} actors, expected {N_AGENTS}")
-    if len(payload["critics"]) != n_critics:
-        raise ValueError(f"{where}: {len(payload['critics'])} critics, expected {n_critics} for mode {mode!r}")
+    actors, critics = payload["actors"], payload["critics"]
+    if not isinstance(actors, list) or len(actors) != N_AGENTS:
+        raise ValueError(f"{where}: actors must be a list of {N_AGENTS} networks")
+    if not isinstance(critics, list) or len(critics) != n_critics:
+        raise ValueError(f"{where}: critics must be a list of {n_critics} networks for mode {mode!r}")
 
     def input_weights(blob: dict, name: str, expected: int) -> np.ndarray:
         _require(blob, ("w1",), f"{where}: {name}")
@@ -585,15 +607,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         critic.net.set_params(blob)
         return critic
 
-    reward = payload["reward"]
-    _require(reward, ("z", "u", "kappa"), f"{where}: reward")
     return Checkpoint(
         mode=mode,
         observation=observation,
         config_hash=payload["config_hash"],
         scenario_hash=payload["scenario_hash"],
         reward_params=RewardParams(z=reward["z"], u=reward["u"], kappa=reward["kappa"]),
-        scales=np.asarray(payload["scales"], dtype=float),
-        actors=[rebuild_actor(k, blob) for k, blob in enumerate(payload["actors"])],
-        critics=[rebuild_critic(k, blob) for k, blob in enumerate(payload["critics"])],
+        scales=scales,
+        actors=[rebuild_actor(k, blob) for k, blob in enumerate(actors)],
+        critics=[rebuild_critic(k, blob) for k, blob in enumerate(critics)],
     )

@@ -65,48 +65,51 @@ def load_scenario(path: str | Path) -> ScenarioData:
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ScenarioFormatError(f"{path}: empty file") from None
-        if tuple(h.strip() for h in header) != SCENARIO_COLUMNS:
+            rows = list(reader)
+        except csv.Error as exc:  # a cell over the csv module's field size limit, say
+            raise ScenarioFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ScenarioFormatError(f"{path}: empty file")
+    header = rows[0]
+    if tuple(h.strip() for h in header) != SCENARIO_COLUMNS:
+        raise ScenarioFormatError(
+            f"{path}: header must be {','.join(SCENARIO_COLUMNS)}, got {','.join(header)}"
+        )
+    arrays = {name: np.full((N_COMMUNITIES, N_STEPS), np.nan) for name in SCENARIO_COLUMNS[2:]}
+    n_rows = 0
+    for row_no, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        n_rows += 1
+        if len(row) != len(SCENARIO_COLUMNS):
             raise ScenarioFormatError(
-                f"{path}: header must be {','.join(SCENARIO_COLUMNS)}, got {','.join(header)}"
+                f"{path}: row {row_no}: expected {len(SCENARIO_COLUMNS)} columns, got {len(row)}"
             )
-        arrays = {name: np.full((N_COMMUNITIES, N_STEPS), np.nan) for name in SCENARIO_COLUMNS[2:]}
-        n_rows = 0
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            n_rows += 1
-            if len(row) != len(SCENARIO_COLUMNS):
-                raise ScenarioFormatError(
-                    f"{path}: row {row_no}: expected {len(SCENARIO_COLUMNS)} columns, got {len(row)}"
-                )
+        try:
+            community = int(row[0])
+            step = int(row[1])
+        except ValueError as exc:
+            raise ScenarioFormatError(f"{path}: row {row_no}: bad community/step: {exc}") from None
+        if not 1 <= community <= N_COMMUNITIES:
+            raise ScenarioFormatError(f"{path}: row {row_no}: community must be 1..3, got {community}")
+        if not 0 <= step < N_STEPS:
+            raise ScenarioFormatError(f"{path}: row {row_no}: step must be 0..23, got {step}")
+        for col, text in zip(SCENARIO_COLUMNS[2:], row[2:]):
             try:
-                community = int(row[0])
-                step = int(row[1])
-            except ValueError as exc:
-                raise ScenarioFormatError(f"{path}: row {row_no}: bad community/step: {exc}") from None
-            if not 1 <= community <= N_COMMUNITIES:
-                raise ScenarioFormatError(f"{path}: row {row_no}: community must be 1..3, got {community}")
-            if not 0 <= step < N_STEPS:
-                raise ScenarioFormatError(f"{path}: row {row_no}: step must be 0..23, got {step}")
-            for col, text in zip(SCENARIO_COLUMNS[2:], row[2:]):
-                try:
-                    value = float(text)
-                except ValueError:
-                    raise ScenarioFormatError(
-                        f"{path}: row {row_no}, column {col}: not a number: {text!r}"
-                    ) from None
-                if value < 0.0 or not np.isfinite(value):
-                    raise ScenarioFormatError(
-                        f"{path}: row {row_no}, column {col}: value must be nonnegative, got {text}"
-                    )
-                if not np.isnan(arrays[col][community - 1, step]):
-                    raise ScenarioFormatError(
-                        f"{path}: row {row_no}: duplicate entry for community {community}, step {step}"
-                    )
-                arrays[col][community - 1, step] = value
+                value = float(text)
+            except ValueError:
+                raise ScenarioFormatError(
+                    f"{path}: row {row_no}, column {col}: not a number: {text!r}"
+                ) from None
+            if value < 0.0 or not np.isfinite(value):
+                raise ScenarioFormatError(
+                    f"{path}: row {row_no}, column {col}: value must be nonnegative, got {text}"
+                )
+            if not np.isnan(arrays[col][community - 1, step]):
+                raise ScenarioFormatError(
+                    f"{path}: row {row_no}: duplicate entry for community {community}, step {step}"
+                )
+            arrays[col][community - 1, step] = value
     expected = N_COMMUNITIES * N_STEPS
     if n_rows != expected:
         raise ScenarioFormatError(f"{path}: expected {expected} data rows, got {n_rows}")

@@ -411,20 +411,24 @@ def total_cost(
 
 
 def assert_within_limits(
-    decision: DispatchDecision,
-    cfg: CommunityConfig,
+    x: np.ndarray,
+    fleet: Fleet,
     limits: ExchangeLimits,
     dt: float = 1.0,
     tol: float = 1e-9,
 ) -> None:
-    """Raise if any setpoint leaves its box; used to re-validate exports."""
-    lo, hi = setpoint_box(cfg.fleet, limits, dt)
-    for name, low, high in zip(SETPOINTS, lo[0].tolist(), hi[0].tolist()):
-        value = getattr(decision, name)
-        if value < low - tol or value > high + tol:
-            raise ValueError(f"{name}={value} outside [{low}, {high}]")
-    if decision.p_tp - cfg.ro.kwh_per_m3 * decision.w_rate < -tol:
-        raise ValueError("cogeneration pumping demand exceeds gross output")
+    """Raise if any of the setpoints (T, n, 8) leaves its box, or a
+    cogeneration unit pumps more than its gross output; used to re-validate
+    exports.  The error names the first such step, community and setpoint."""
+    lo, hi = setpoint_box(fleet, limits, dt)
+    outside = (x < lo - tol) | (x > hi + tol)
+    if outside.any():
+        t, i, k = np.argwhere(outside)[0]
+        raise ValueError(f"step {t}, community {i + 1}: {SETPOINTS[k]}={x[t, i, k]} outside [{lo[i, k]}, {hi[i, k]}]")
+    overdraw = x[..., P_TP] - fleet.q * x[..., W_RATE] < -tol
+    if overdraw.any():
+        t, i = np.argwhere(overdraw)[0]
+        raise ValueError(f"step {t}, community {i + 1}: cogeneration pumping demand exceeds gross output")
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +456,8 @@ _ELEC, _HEAT_ROW, _WATER, _CHP_ROW, _PUMP, _SUPPLY, _CARRY = range(7)
 _EPS = 1e-9
 # Basic values this close to a bound are reported on it.
 _SNAP = 1e-9
-_FEASIBLE_TOL = 1e-6
+# A step whose summed penalty (kW-eq) is at most this balances exactly.
+FEASIBLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -664,41 +669,30 @@ def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig, dt: float) -> 
     return clip_box(rows, box_lo, box_hi, cfg.fleet.q)
 
 
-def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig, dt: float = 1.0) -> list[OracleStep]:
-    """Exact optimal dispatch of each step of (T, 3) loads and wind.
+def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig, dt: float = 1.0) -> np.ndarray:
+    """Exact optimal setpoints (T, 3, 8) of each step of (T, 3) loads and wind.
 
     Per step: the least total imbalance, then the least fuel cost at it,
     then the least exchanged power, then the least device output.  Under
     ``exchange_loss`` every export-sign pattern is solved, and the step
     keeps the pattern whose settled dispatch is best by the same keys (the
-    loss is debited only where heat really leaves).  ``feasible`` is
-    whether the step balances exactly (within 1e-6 kW-eq).
+    loss is debited only where heat really leaves).  What the setpoints
+    cost and leave unbalanced is for ``settle`` and ``fuel_cost`` to say.
     """
     p_load, h_load, w_load, wind = (np.asarray(v, dtype=float) for v in (p_load, h_load, w_load, wind))
     steps = len(p_load)
     prog = _programs(p_load, h_load, w_load, wind, system_cfg, dt)
     x = _setpoints(_lexicographic_simplex(prog), prog, system_cfg, dt)
     patterns = len(x) // steps
+    if patterns == 1:
+        return x
     loads = [np.repeat(v, patterns, axis=0) for v in (p_load, h_load, w_load, wind)]
     settled = settle(x, *loads, system_cfg.fleet, system_cfg.options, dt)
     cost = fuel_cost(x, system_cfg.fleet, system_cfg.price)
-    best = patterns * np.arange(steps)
-    if patterns > 1:
-        exchange = np.abs(x[..., P_EXCH]) + np.abs(x[..., H_EXCH])
-        output = x[..., P_CHP] * (1.0 + x[..., B_CHP]) + x[..., P_TP] + x[..., P_GT] + x[..., H_GB]
-        keys = np.stack([sum_last(v) for v in (settled.penalty, cost, exchange, output)], axis=-1)
-        best += _first_best(keys.reshape(steps, patterns, -1))
-    out = []
-    for k in best.tolist():
-        penalty = left_sum(settled.penalty[k].tolist())
-        used = (loads[3][k] - settled.curtailed[k]).tolist()
-        out.append(OracleStep(
-            decisions=tuple(DispatchDecision(*row, wind_used=u) for row, u in zip(x[k].tolist(), used)),
-            cost=CostBreakdown.from_parts(cost[k]),
-            penalty=penalty,
-            feasible=penalty <= _FEASIBLE_TOL,
-        ))
-    return out
+    exchange = np.abs(x[..., P_EXCH]) + np.abs(x[..., H_EXCH])
+    output = x[..., P_CHP] * (1.0 + x[..., B_CHP]) + x[..., P_TP] + x[..., P_GT] + x[..., H_GB]
+    keys = np.stack([sum_last(v) for v in (settled.penalty, cost, exchange, output)], axis=-1)
+    return x[patterns * np.arange(steps) + _first_best(keys.reshape(steps, patterns, -1))]
 
 
 def _first_best(keys: np.ndarray) -> np.ndarray:
@@ -718,7 +712,9 @@ def oracle_dispatch(
     grid_n: int = 21,
     dt: float = 1.0,
 ) -> OracleStep:
-    """Exact optimal dispatch of one step (``oracle_day`` of one step).
+    """Exact optimal dispatch of one step (``oracle_day`` of one step),
+    settled and priced; ``feasible`` is whether it balances within
+    ``FEASIBLE_TOL``.
 
     ``grid_n`` is accepted for compatibility and ignored by the exact
     solver; it must still be at least 3.
@@ -727,5 +723,15 @@ def oracle_dispatch(
         raise ValueError(f"grid_n must be at least 3, got {grid_n}")
     if len(loads) != N_COMMUNITIES or len(wind_avail) != N_COMMUNITIES:
         raise ValueError("loads and wind_avail must cover all three communities")
-    p_load, h_load, w_load = np.array([[[d.p_load, d.h_load, d.w_load] for d in loads]]).transpose(2, 0, 1)
-    return oracle_day(p_load, h_load, w_load, np.array([wind_avail], dtype=float), system_cfg, dt)[0]
+    rows = [[d.p_load, d.h_load, d.w_load, w] for d, w in zip(loads, wind_avail)]
+    *step, wind = np.array([rows], dtype=float).transpose(2, 0, 1)  # each (1, 3)
+    x = oracle_day(*step, wind, system_cfg, dt)
+    settled = settle(x, *step, wind, system_cfg.fleet, system_cfg.options, dt)
+    penalty = float(sum_last(settled.penalty)[0])
+    used = (wind - settled.curtailed)[0].tolist()
+    return OracleStep(
+        decisions=tuple(DispatchDecision(*row, wind_used=u) for row, u in zip(x[0].tolist(), used)),
+        cost=CostBreakdown.from_parts(fuel_cost(x, system_cfg.fleet, system_cfg.price)[0]),
+        penalty=penalty,
+        feasible=penalty <= FEASIBLE_TOL,
+    )

@@ -10,7 +10,8 @@ import pytest
 
 from iesdispatch import cli, env, learner, nets, system
 from iesdispatch.cli import main, write_schedule_csv
-from iesdispatch.env import RewardParams, evaluate_step
+from iesdispatch.config import load_config
+from iesdispatch.env import DispatchEnv, RewardParams, evaluate_day, settle_day
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
 
 SMOKE_CONFIG = """
@@ -160,6 +161,9 @@ CHECKPOINT_CORRUPTIONS = {
     "two-critics": (lambda c: c["critics"].append(c["critics"][0]), "critics"),
     "actor-input-width": (lambda c: c["actors"][1]["w1"].pop(), "actor 1"),
     "critic-input-width": (lambda c: c["critics"][0]["w1"].pop(), "critic 0"),
+    "scales-shape": (lambda c: c.update(scales=[1.0, 2.0]), "scales"),
+    "reward-not-a-number": (lambda c: c["reward"].update(z="x"), "reward.z"),
+    "actors-not-a-list": (lambda c: c.update(actors=3), "actors"),
 }
 
 
@@ -282,31 +286,39 @@ class TestPythonVersion:
         assert run("compensated") == left_to_right
 
 
-def zero_action_records(n_steps=3):
+def zero_action_day():
     scenario = generate_scenario(ScenarioSpec())
-    sys_cfg = system.default_system_config()
-    return [evaluate_step(scenario, t, np.zeros((3, 8)), sys_cfg, RewardParams()) for t in range(n_steps)]
+    return evaluate_day(scenario, np.zeros((24, 3, 8)), system.default_system_config(), RewardParams())
 
 
-def with_first_decision(record, **changes):
-    return replace(record, decisions=(replace(record.decisions[0], **changes),) + record.decisions[1:])
+def chp_out_of_box(x):
+    x[1, 0, system.P_CHP] = 6000.0
 
 
-# Corruptions of the records of step 1, each with a word the error must name.
+def exchange_not_conserving(x):
+    x[1, 0, system.P_EXCH] += 10.0
+
+
+# Corruptions of the setpoints of step 1, each with the words the error must contain.
 EXPORT_CORRUPTIONS = {
-    "out-of-box": (lambda r: with_first_decision(r, p_chp=6000.0), "p_chp"),
-    "not-conserving": (lambda r: with_first_decision(r, p_exch=r.decisions[0].p_exch + 10.0), "step 1"),
+    "out-of-box": (chp_out_of_box, "step 1, community 1: p_chp"),
+    "not-conserving": (exchange_not_conserving, "step 1: exchanges do not conserve"),
 }
+
+
+def corrupted(day, corrupt):
+    setpoints = day.setpoints.copy()
+    corrupt(setpoints)
+    return replace(day, setpoints=setpoints)
 
 
 class TestExportRecheck:
     @pytest.mark.parametrize("case", EXPORT_CORRUPTIONS)
     def test_write_schedule_csv_refuses(self, tmp_path, case):
         corrupt, word = EXPORT_CORRUPTIONS[case]
-        records = zero_action_records()
-        records[1] = corrupt(records[1])
+        day = corrupted(zero_action_day(), corrupt)
         with pytest.raises(ValueError, match=word):
-            write_schedule_csv(tmp_path / "schedule.csv", records, system.default_system_config())
+            write_schedule_csv(tmp_path / "schedule.csv", day, system.default_system_config())
         assert not (tmp_path / "schedule.csv").exists()
 
     @pytest.mark.parametrize("case", EXPORT_CORRUPTIONS)
@@ -317,14 +329,8 @@ class TestExportRecheck:
         assert main([
             "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(run), "--episodes", "4",
         ]) == 0
-        rollout = learner.greedy_rollout
-
-        def corrupted_rollout(*args):
-            records = rollout(*args)
-            records[1] = corrupt(records[1])
-            return records
-
-        monkeypatch.setattr(learner, "greedy_rollout", corrupted_rollout)
+        greedy_day = learner.greedy_day
+        monkeypatch.setattr(learner, "greedy_day", lambda *args: corrupted(greedy_day(*args), corrupt))
         capsys.readouterr()
         code = main([
             "evaluate", "--config", str(cfg), "--scenario", str(scenario),
@@ -335,6 +341,104 @@ class TestExportRecheck:
         assert err["error"] == "ValueError"
         assert word in err["message"]
         assert not (tmp / "eval" / "schedule.csv").exists()
+
+
+def left_to_right(values):
+    """Add strictly left to right from 0.0, as the export contract says,
+    without the package's own ``left_sum``."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestExportContract:
+    """What ``oracle`` and ``evaluate`` write is the day they evaluated:
+    every cell parses back to its array value, and every summary field is
+    the left-to-right sum of the cells, exactly."""
+
+    NOISY_STRICT = SMOKE_CONFIG + (
+        "scenario: {generator: {noise_std: 0.05, seed: 22}}\n"
+        "system: {options: {gross_pipeline_loss: true, cap_heat_by_water: true, exchange_loss: true}}\n"
+    )
+
+    def check(self, rows, summary, day, dt=1.0):
+        column = {col: [float(r[col]) for r in rows] for col in cli.SCHEDULE_COLUMNS[3:]}
+        x = day.setpoints
+        expected = {
+            "p_chp_kw": x[..., system.P_CHP],
+            "b_chp": x[..., system.B_CHP],
+            "h_chp_kw": x[..., system.B_CHP] * x[..., system.P_CHP],
+            "p_tp_kw": x[..., system.P_TP],
+            "w_rate_m3h": x[..., system.W_RATE],
+            "p_gt_kw": x[..., system.P_GT],
+            "h_gb_kw": x[..., system.H_GB],
+            "p_exch_kw": x[..., system.P_EXCH],
+            "h_exch_kw": x[..., system.H_EXCH],
+            "wind_avail_kw": day.wind,
+            "wind_used_kw": day.wind - day.balance.curtailed,
+            "curtailed_kw": day.balance.curtailed,
+            "d_elec_kw": day.balance.d_elec,
+            "d_heat_kw": day.balance.d_heat,
+            "d_water_m3h": day.balance.d_water,
+            "penalty_kw_eq": day.balance.penalty,
+            "cost_yuan": day.cost,
+        }
+        assert set(expected) == set(column)
+        for col, value in expected.items():
+            assert column[col] == value.ravel().tolist(), col
+        assert [(int(r["step"]), int(r["community"])) for r in rows] == [(t, i) for t in range(24) for i in (1, 2, 3)]
+
+        per_community = {
+            str(i): left_to_right(float(r["cost_yuan"]) for r in rows if r["community"] == str(i)) for i in (1, 2, 3)
+        }
+        avail = left_to_right(v * dt for v in column["wind_avail_kw"])
+        curtailed = left_to_right(v * dt for v in column["curtailed_kw"])
+        assert summary["per_community_cost"] == per_community
+        assert summary["total_cost"] == left_to_right(per_community.values())
+        assert summary["total_penalty_kw_eq"] == left_to_right(column["penalty_kw_eq"])
+        assert summary["wind_avail_kwh"] == avail
+        assert summary["wind_used_kwh"] == left_to_right(v * dt for v in column["wind_used_kw"])
+        assert summary["curtailed_kwh"] == curtailed
+        assert summary["curtailment_rate"] == curtailed / avail
+        exchange = left_to_right(abs(p) + abs(h) for p, h in zip(column["p_exch_kw"], column["h_exch_kw"]))
+        assert summary["exchange_abs_kwh"] == exchange * dt
+
+    def test_oracle_and_evaluate(self, tmp_path):
+        cfg_path = tmp_path / "noisy.yaml"
+        cfg_path.write_text(self.NOISY_STRICT, encoding="utf-8")
+        run_cfg = load_config(cfg_path)
+        scenario = generate_scenario(run_cfg.generator)
+
+        assert main(["oracle", "--config", str(cfg_path), "--out", str(tmp_path / "oracle")]) == 0
+        rows = read_csv(tmp_path / "oracle" / "oracle_schedule.csv")
+        summary = read_json(tmp_path / "oracle" / "oracle_summary.json")
+        setpoints = system.oracle_day(
+            scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, run_cfg.system
+        )
+        self.check(rows, summary, settle_day(scenario, slice(None), setpoints, run_cfg.system, run_cfg.reward))
+        step_penalties = [
+            left_to_right(float(r["penalty_kw_eq"]) for r in rows if r["step"] == str(t)) for t in range(24)
+        ]
+        assert summary["infeasible_steps"] == [t for t, p in enumerate(step_penalties) if p > system.FEASIBLE_TOL]
+        assert summary["infeasible_steps"]  # the strict couplings leave some steps unbalanced
+
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out", str(run), "--episodes", "4"]) == 0
+        assert main([
+            "evaluate", "--config", str(cfg_path), "--checkpoint", str(run / "checkpoint.json"),
+            "--out", str(tmp_path / "eval"),
+        ]) == 0
+        ckpt = learner.load_checkpoint(run / "checkpoint.json")
+        env = DispatchEnv(
+            scenario, run_cfg.system, ckpt.reward_params,
+            mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales, dt=run_cfg.system.price.dt,
+        )
+        self.check(
+            read_csv(tmp_path / "eval" / "schedule.csv"),
+            read_json(tmp_path / "eval" / "summary.json"),
+            learner.greedy_day(env, ckpt.actors),
+        )
 
 
 class TestOracleCommand:
@@ -446,6 +550,8 @@ class TestConfigValidation:
             "seed: 1.5\n",
             "version: 1.9\n",
             "system: {communities: [{id: 1.7}, {}, {}]}\n",
+            # Not YAML at all.
+            "version: 1\n- a\n",
         ):
             bad.write_text(text, encoding="utf-8")
             code = main([

@@ -10,6 +10,7 @@ collector that steps through the day one transition at a time.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iesdispatch import cli, env as env_module, learner, system as system_module
+from iesdispatch import env as env_module, learner, system as system_module
 from iesdispatch.config import load_config
 from iesdispatch.devices import ChpParams, GasUnitParams, RoCogenParams
 from iesdispatch.env import (
@@ -34,6 +35,7 @@ from iesdispatch.env import (
     evaluate_day,
     evaluate_step,
     observation_dim,
+    settle_day,
 )
 from iesdispatch.learner import LogRow, TrainConfig, _Episode, sample_action
 from iesdispatch.scenario import PROFILES, ScenarioSpec, generate_scenario
@@ -45,6 +47,7 @@ from iesdispatch.system import (
     SystemConfig,
     left_sum,
     oracle_day,
+    sum_last,
 )
 from iesdispatch.thermal import PipelineParams
 
@@ -262,21 +265,25 @@ class TestOracleRows:
         run_cfg = load_config(None, {"system": {"options": options}})
         sys_cfg, dt = run_cfg.system, run_cfg.system.price.dt
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=22))
-        steps = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg, dt)
-        for t, (step, record) in enumerate(zip(steps, cli._oracle_records(steps, scenario, run_cfg))):
+        setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg, dt)
+        day = settle_day(scenario, slice(None), setpoints, sys_cfg, run_cfg.reward, dt)
+        penalties = sum_last(day.balance.penalty)
+        for t, record in enumerate(day.records()):
             loads = [CommunityLoads(*(float(q[i, t]) for q in (scenario.p_load, scenario.h_load, scenario.w_load)))
                      for i in range(N_AGENTS)]
             wind = [float(scenario.p_wind[i, t]) for i in range(N_AGENTS)]
 
             cfgs = sys_cfg.communities
+            decisions = [DispatchDecision(*row) for row in setpoints[t].tolist()]
             balances = tuple(
-                ref.power_balance(d, loads[i], wind[i], cfgs[i], sys_cfg.options, dt) for i, d in enumerate(step.decisions)
+                ref.power_balance(d, loads[i], wind[i], cfgs[i], sys_cfg.options, dt) for i, d in enumerate(decisions)
             )
-            costs = tuple(ref.community_cost(d, cfgs[i], sys_cfg.price) for i, d in enumerate(step.decisions))
+            costs = tuple(ref.community_cost(d, cfgs[i], sys_cfg.price) for i, d in enumerate(decisions))
             assert record.balances == balances
-            assert record.costs == costs == step.cost.per_community
+            assert record.costs == costs
             assert record.wind_avail == tuple(wind)
             assert record.reward == ref.step_reward(left_sum(costs), [b.penalty for b in balances], run_cfg.reward)
-            assert record.decisions == step.decisions
-            assert step.penalty == left_sum(b.penalty for b in balances)
-            assert [d.wind_used for d in step.decisions] == [wind[i] - balances[i].curtailed for i in range(N_AGENTS)]
+            assert record.decisions == tuple(
+                replace(d, wind_used=wind[i] - balances[i].curtailed) for i, d in enumerate(decisions)
+            )
+            assert penalties[t] == left_sum(b.penalty for b in balances)

@@ -19,13 +19,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iesdispatch.config import load_config
+from iesdispatch.env import RewardParams, settle_day
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
 from iesdispatch.system import (
+    FEASIBLE_TOL,
+    H_EXCH,
+    P_EXCH,
     BalanceOptions,
     CommunityLoads,
     default_system_config,
+    left_sum,
     oracle_day,
     oracle_dispatch,
+    setpoint_rows,
+    sum_last,
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -38,6 +45,12 @@ OPTION_SETS = [BalanceOptions(*flags) for flags in itertools.product((False, Tru
 
 def _loads(p, h, w):
     return CommunityLoads(p_load=p, h_load=h, w_load=w)
+
+
+def solve_day(day, sys_cfg):
+    """The oracle's setpoints of a scenario's day, settled and priced."""
+    setpoints = oracle_day(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, sys_cfg)
+    return settle_day(day, slice(None), setpoints, sys_cfg, RewardParams())
 
 
 class TestHandDerivedOptima:
@@ -71,21 +84,27 @@ class TestHandDerivedOptima:
         # when grossed up) at the CHP's and the boiler's common efficiency.
         day = generate_scenario(ScenarioSpec(profile="uniform"))
         sys_cfg = dataclasses.replace(SYS, options=options)
-        steps = oracle_day(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, sys_cfg)
+        settled = solve_day(day, sys_cfg)
         loss = sys_cfg.fleet.loss[0] if options.gross_pipeline_loss else 0.0
         per_step = UNIT * ((3000.0 - 500.0) / CHP_ETA + (1500.0 + loss) / CHP_ETA + 8.0 * 80.0 / RO_ETA)
-        for step in steps:
-            assert step.feasible and step.penalty <= 1e-9
-            assert step.cost.total == pytest.approx(3 * per_step, rel=1e-12)
-            assert all(d.p_exch == 0.0 and d.h_exch == 0.0 for d in step.decisions)
-            assert all(d.wind_used == 500.0 for d in step.decisions)
+        assert (sum_last(settled.balance.penalty) <= 1e-9).all()
+        for cost in sum_last(settled.cost):
+            assert cost == pytest.approx(3 * per_step, rel=1e-12)
+        assert (settled.setpoints[..., P_EXCH] == 0.0).all() and (settled.setpoints[..., H_EXCH] == 0.0).all()
+        assert (settled.wind - settled.balance.curtailed == 500.0).all()
 
     def test_one_step_call_equals_the_day(self):
         day = generate_scenario(ScenarioSpec(noise_std=0.05, seed=7))
-        steps = oracle_day(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, SYS)
+        settled = solve_day(day, SYS)
         for t in (0, 11, 23):
             loads = [_loads(*(float(q[i, t]) for q in (day.p_load, day.h_load, day.w_load))) for i in range(3)]
-            assert oracle_dispatch(loads, day.p_wind[:, t].tolist(), SYS) == steps[t]
+            step = oracle_dispatch(loads, day.p_wind[:, t].tolist(), SYS)
+            assert (setpoint_rows(step.decisions) == settled.setpoints[t]).all()
+            assert step.cost.per_community == tuple(settled.cost[t].tolist())
+            assert step.penalty == left_sum(settled.balance.penalty[t].tolist())
+            assert step.feasible == (step.penalty <= FEASIBLE_TOL)
+            used = (settled.wind - settled.balance.curtailed)[t].tolist()
+            assert [d.wind_used for d in step.decisions] == used
 
 
 @pytest.mark.parametrize("options", OPTION_SETS, ids=str)
@@ -108,12 +127,13 @@ def test_every_step_meets_the_highs_optimum(options, seed):
     }
     sys_cfg = load_config(None, {"system": tree}).system
     day = generate_scenario(ScenarioSpec(profile="complementary-winter", noise_std=NOISE_STD, seed=seed))
-    steps = oracle_day(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, sys_cfg)
+    settled = solve_day(day, sys_cfg)
+    penalties, costs = sum_last(settled.balance.penalty), sum_last(settled.cost)
     scenario = {"p_load": day.p_load, "h_load": day.h_load, "w_load": day.w_load, "p_wind": day.p_wind}
     bounds = lpbound.step_bounds(scenario, tree)
-    for t, step in enumerate(steps):
-        assert step.penalty >= bounds.min_penalty[t] - 1e-6, t
-        assert step.penalty <= bounds.min_penalty[t] + 1e-6, t
-        if step.feasible:
+    for t, (penalty, cost) in enumerate(zip(penalties, costs)):
+        assert penalty >= bounds.min_penalty[t] - 1e-6, t
+        assert penalty <= bounds.min_penalty[t] + 1e-6, t
+        if penalty <= FEASIBLE_TOL:
             assert np.isfinite(bounds.min_cost[t]), t
-            assert step.cost.total == pytest.approx(bounds.min_cost[t], rel=1e-7), t
+            assert cost == pytest.approx(bounds.min_cost[t], rel=1e-7), t

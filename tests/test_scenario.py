@@ -64,6 +64,18 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioFormatError, match="row 6, column p_load_kw"):
             load_scenario(tmp_path / "bad.csv")
 
+    def test_oversized_cell_names_row(self, scenario, tmp_path):
+        # One cell longer than the csv module's field size limit (131072).
+        path = tmp_path / "big.csv"
+        save_scenario(scenario, path)
+        lines = path.read_text().strip().splitlines()
+        parts = lines[4].split(",")
+        parts[3] = "1" * 131073
+        lines[4] = ",".join(parts)
+        self._write(tmp_path, lines)
+        with pytest.raises(ScenarioFormatError, match=r"bad\.csv: row 5"):
+            load_scenario(tmp_path / "bad.csv")
+
     def test_bad_header(self, tmp_path):
         self._write(tmp_path, ["a,b,c,d,e,f"])
         with pytest.raises(ScenarioFormatError, match="header"):
