@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -133,7 +133,8 @@ def gae_advantages(
     discount: float,
     gae_lambda: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized advantage estimates over one complete episode.
+    """Generalized advantage estimates over complete episodes, the steps
+    along the last axis; leading axes are independent episodes.
 
     The terminal bootstrap value is zero.  Returns the raw (unnormalized)
     advantages and the value targets advantages + values.  With
@@ -148,11 +149,11 @@ def gae_advantages(
     advantages = np.empty_like(rewards)
     running = 0.0
     next_value = 0.0
-    for t in range(len(rewards) - 1, -1, -1):
-        delta = rewards[t] + discount * next_value - values[t]
+    for t in range(rewards.shape[-1] - 1, -1, -1):
+        delta = rewards[..., t] + discount * next_value - values[..., t]
         running = delta + discount * gae_lambda * running
-        advantages[t] = running
-        next_value = values[t]
+        advantages[..., t] = running
+        next_value = values[..., t]
     return advantages, advantages + values
 
 
@@ -206,6 +207,19 @@ class Critic:
         return self.net.params()
 
 
+def _log_density_grads(
+    actor: GaussianActor, mean: np.ndarray, cache: tuple, actions: np.ndarray, dlp: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Exact gradients of a loss whose derivative by each row's
+    log-density is ``dlp``, through the mean network and the log-std."""
+    inv_std = np.exp(-actor.clamped_log_std())
+    z = (actions - mean) * inv_std
+    grads = actor.net.backward(cache, dlp[:, None] * (z * inv_std))
+    in_range = (actor.log_std >= LOG_STD_MIN) & (actor.log_std <= LOG_STD_MAX)
+    grads["log_std"] = (dlp[:, None] * (z * z - 1.0)).sum(axis=0) * in_range
+    return grads
+
+
 def actor_loss_and_grads(
     actor: GaussianActor,
     obs: np.ndarray,
@@ -216,24 +230,16 @@ def actor_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Clipped-surrogate loss and its exact gradients for one actor."""
     mean, cache = actor.net.forward(obs)
-    log_std = actor.clamped_log_std()
-    lp_new = gaussian_log_prob(mean, log_std, actions)
+    lp_new = gaussian_log_prob(mean, actor.clamped_log_std(), actions)
     ratio = prob_ratio(lp_new, log_prob_old)
     loss = clipped_surrogate(ratio, advantages, clip_eps)
 
-    inv_std = np.exp(-log_std)
-    z = (actions - mean) * inv_std
-    batch = len(advantages)
     through_raw = ratio * advantages <= np.clip(ratio, 1.0 - clip_eps, 1.0 + clip_eps) * advantages
     inside_band = (ratio > 1.0 - clip_eps) & (ratio < 1.0 + clip_eps)
     dmin_dratio = np.where(through_raw, advantages, advantages * inside_band)
     dratio_dlp = np.where(np.abs(lp_new - log_prob_old) < RATIO_EXP_CLAMP, ratio, 0.0)
-    dlp = -(dmin_dratio * dratio_dlp) / batch
-    dmean = dlp[:, None] * (z * inv_std)
-    grads = actor.net.backward(cache, dmean)
-    in_range = (actor.log_std >= LOG_STD_MIN) & (actor.log_std <= LOG_STD_MAX)
-    grads["log_std"] = (dlp[:, None] * (z * z - 1.0)).sum(axis=0) * in_range
-    return loss, grads
+    dlp = -(dmin_dratio * dratio_dlp) / len(advantages)
+    return loss, _log_density_grads(actor, mean, cache, actions, dlp)
 
 
 def critic_loss_and_grads(
@@ -256,17 +262,8 @@ def log_prob_loss_and_grads(
     would use to imitate recorded dispatch decisions.
     """
     mean, cache = actor.net.forward(obs)
-    log_std = actor.clamped_log_std()
-    lp = gaussian_log_prob(mean, log_std, actions)
-    loss = float(lp.mean())
-    inv_std = np.exp(-log_std)
-    z = (actions - mean) * inv_std
-    batch = len(lp)
-    dmean = (z * inv_std) / batch
-    grads = actor.net.backward(cache, dmean)
-    in_range = (actor.log_std >= LOG_STD_MIN) & (actor.log_std <= LOG_STD_MAX)
-    grads["log_std"] = ((z * z - 1.0) / batch).sum(axis=0) * in_range
-    return loss, grads
+    lp = gaussian_log_prob(mean, actor.clamped_log_std(), actions)
+    return float(lp.mean()), _log_density_grads(actor, mean, cache, actions, np.full(len(lp), 1.0 / len(lp)))
 
 
 class RewardMonitor:
@@ -320,60 +317,53 @@ class TrainResult:
     log: list[LogRow]
 
 
-class _Episode:
-    """Arrays for one complete episode, the unit entering the buffer."""
-
-    __slots__ = ("states", "obs", "actions", "log_probs", "team_rewards", "agent_rewards", "values")
-
-    def __init__(self, states, obs, actions, log_probs, team_rewards, agent_rewards, values):
-        self.states = states
-        self.obs = obs
-        self.actions = actions
-        self.log_probs = log_probs
-        self.team_rewards = team_rewards
-        self.agent_rewards = agent_rewards
-        self.values = values
+def _policy_means(env: DispatchEnv, actors: Sequence[GaussianActor]) -> np.ndarray:
+    """The actors' means (24, 3, 8) over the day's known observations, one
+    ``forward_rows`` per actor (each row equal to a batch-1 ``forward``)."""
+    return np.stack([actor.net.forward_rows(env.observations[k]) for k, actor in enumerate(actors)], axis=1)
 
 
-def _collect_episode(
+def _collect_batch(
     env: DispatchEnv,
     actors: list[GaussianActor],
     critics: list[Critic],
     rng: np.random.Generator,
     independent: bool,
-) -> tuple[_Episode, LogRow]:
-    """Sample and evaluate one day in a single pass over its 24 known states.
+    episodes: range,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[LogRow]]:
+    """Sample and evaluate the days of one update batch.
 
-    The loads and wind do not depend on the actions, so every state is known
-    before the first action: one forward per network over all steps, one
-    noise draw and one ``evaluate_day``.  Each number equals the one a
-    step-by-step rollout would produce (see ``Mlp.forward_rows`` and
+    The loads and wind do not depend on the actions, and the parameters do
+    not change before the update, so every episode of the batch sees the
+    same 24 states, means and values: one forward per network, one noise
+    draw of shape (E, 24, 3, 8) (the numbers E draws of (24, 3, 8) would
+    give) and one ``evaluate_day`` per episode.  Each number equals the one
+    a step-by-step rollout would produce (see ``Mlp.forward_rows`` and
     ``sample_action``), so training is unchanged bit for bit.
+
+    Returns the actions (E, 24, 3, 8), their log-densities (E, 24, 3), the
+    rewards (S, E, 24) of the S reward streams (the team's, or each
+    community's when independent), the values (S, 24) and one ``LogRow``
+    per episode.
     """
-    obs = env.observations
-    means = np.stack([actor.net.forward_rows(obs[k]) for k, actor in enumerate(actors)], axis=1)
+    means = _policy_means(env, actors)
     log_std = np.stack([actor.clamped_log_std() for actor in actors])
-    actions, log_probs = sample_action(means, log_std, rng)
-    critic_inputs = obs if independent else [env.states]
+    actions, log_probs = sample_action(np.broadcast_to(means, (len(episodes), *means.shape)), log_std, rng)
+    critic_inputs = env.observations if independent else [env.states]
     values = np.stack([critic.net.forward_rows(x)[:, 0] for critic, x in zip(critics, critic_inputs)])
-    day = evaluate_day(env.scenario, actions, env.system_cfg, env.reward_params, env.mode, env.dt)
-    row_stats = LogRow(
-        episode=-1,
-        mean_reward=float(day.team_reward.mean()),
-        total_cost=day_total(day.cost),
-        total_penalty=day_total(day.balance.penalty),
-        curtailment_kwh=day_total(day.balance.curtailed) * env.dt,
-    )
-    episode = _Episode(
-        env.states,
-        obs,
-        actions.transpose(1, 0, 2),
-        log_probs.T,
-        day.team_reward,
-        day.agent_reward.T,
-        values,
-    )
-    return episode, row_stats
+    days = [evaluate_day(env.scenario, a, env.system_cfg, env.reward_params, env.mode, env.dt) for a in actions]
+    rewards = np.stack([day.agent_reward.T if independent else day.team_reward[None] for day in days], axis=1)
+    rows = [
+        LogRow(
+            episode=episode,
+            mean_reward=float(day.team_reward.mean()),
+            total_cost=day_total(day.cost),
+            total_penalty=day_total(day.balance.penalty),
+            curtailment_kwh=day_total(day.balance.curtailed) * env.dt,
+        )
+        for episode, day in zip(episodes, days)
+    ]
+    return actions, log_probs, rewards, values, rows
 
 
 def _update(
@@ -381,35 +371,32 @@ def _update(
     critics: list[Critic],
     actor_opts: list[Adam],
     critic_opts: list[Adam],
-    buffer: list[_Episode],
+    actions: np.ndarray,
+    log_probs: np.ndarray,
+    rewards: np.ndarray,
+    values: np.ndarray,
+    env: DispatchEnv,
     cfg: TrainConfig,
     independent: bool,
 ) -> None:
-    states = np.concatenate([ep.states for ep in buffer])
-    obs = [np.concatenate([ep.obs[k] for ep in buffer]) for k in range(N_AGENTS)]
-    actions = [np.concatenate([ep.actions[k] for ep in buffer]) for k in range(N_AGENTS)]
-    log_probs_old = [np.concatenate([ep.log_probs[k] for ep in buffer]) for k in range(N_AGENTS)]
-
-    n_streams = N_AGENTS if independent else 1
-    advantages: list[np.ndarray] = []
-    returns: list[np.ndarray] = []
-    for s in range(n_streams):
-        adv_parts = []
-        ret_parts = []
-        for ep in buffer:
-            rewards = ep.agent_rewards[s] if independent else ep.team_rewards
-            adv, ret = gae_advantages(rewards, ep.values[s], cfg.discount, cfg.gae_lambda)
-            adv_parts.append(adv)
-            ret_parts.append(ret)
-        advantages.append(normalize_advantages(np.concatenate(adv_parts)))
-        returns.append(np.concatenate(ret_parts))
+    """Several epochs of full-batch steps on one batch of ``_collect_batch``,
+    its E episodes stacked episode-major: E x 24 rows per network."""
+    n_episodes = len(actions)
+    rows = n_episodes * EPISODE_STEPS
+    states = np.tile(env.states, (n_episodes, 1))
+    obs = np.tile(env.observations, (1, n_episodes, 1))
+    actions = np.moveaxis(actions, 2, 0).reshape(N_AGENTS, rows, ACTION_DIM)
+    log_probs_old = np.moveaxis(log_probs, 2, 0).reshape(N_AGENTS, rows)
+    advantages, returns = gae_advantages(
+        rewards, np.broadcast_to(values[:, None, :], rewards.shape), cfg.discount, cfg.gae_lambda
+    )
+    advantages = [normalize_advantages(adv) for adv in advantages.reshape(-1, rows)]
+    returns = returns.reshape(-1, rows)
 
     for _ in range(cfg.epochs_per_update):
         for k in range(N_AGENTS):
             adv = advantages[k] if independent else advantages[0]
-            _, grads = actor_loss_and_grads(
-                actors[k], obs[k], actions[k], log_probs_old[k], adv, cfg.clip_eps
-            )
+            _, grads = actor_loss_and_grads(actors[k], obs[k], actions[k], log_probs_old[k], adv, cfg.clip_eps)
             clip_grads_(grads, MAX_GRAD_NORM)
             actor_opts[k].step(grads)
         for ci, critic in enumerate(critics):
@@ -434,22 +421,17 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
     critic_opts = [Adam(critic.params(), cfg.critic_lr) for critic in critics]
 
     monitor = RewardMonitor()
-    buffer: list[_Episode] = []
-    buffered_steps = 0
     log: list[LogRow] = []
-    for episode in range(cfg.episodes):
-        ep, stats = _collect_episode(env, actors, critics, rng, independent)
-        buffer.append(ep)
-        buffered_steps += EPISODE_STEPS
-        if buffered_steps >= cfg.batch:
-            _update(actors, critics, actor_opts, critic_opts, buffer, cfg, independent)
-            buffer.clear()
-            buffered_steps = 0
-        stats.episode = episode
-        log.append(stats)
-        monitor.observe(stats.mean_reward, episode)
-    if buffer:  # the episodes after the last full batch
-        _update(actors, critics, actor_opts, critic_opts, buffer, cfg, independent)
+    # ``batch`` counts steps; an update takes whole episodes, the last one
+    # whatever episodes remain.
+    per_update = math.ceil(cfg.batch / EPISODE_STEPS)
+    for first in range(0, cfg.episodes, per_update):
+        episodes = range(first, min(first + per_update, cfg.episodes))
+        *batch, rows = _collect_batch(env, actors, critics, rng, independent, episodes)
+        for row in rows:
+            log.append(row)
+            monitor.observe(row.mean_reward, row.episode)
+        _update(actors, critics, actor_opts, critic_opts, *batch, env, cfg, independent)
 
     return TrainResult(
         mode=env.mode,
@@ -482,8 +464,7 @@ def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
 def greedy_day(env: DispatchEnv, actors: Sequence[GaussianActor]) -> DayEvaluation:
     """One deterministic day driven by the policy means, no sampling,
     evaluated in one ``evaluate_day``."""
-    means = np.stack([actor.net.forward_rows(env.observations[k]) for k, actor in enumerate(actors)], axis=1)
-    return evaluate_day(env.scenario, means, env.system_cfg, env.reward_params, env.mode, env.dt)
+    return evaluate_day(env.scenario, _policy_means(env, actors), env.system_cfg, env.reward_params, env.mode, env.dt)
 
 
 def greedy_rollout(env: DispatchEnv, actors: Sequence[GaussianActor]) -> list[StepRecord]:
@@ -519,11 +500,7 @@ def save_checkpoint(path: str | Path, result: TrainResult, config_hash: str, sce
         "observation": result.observation,
         "config_hash": config_hash,
         "scenario_hash": scenario_hash,
-        "reward": {
-            "z": result.reward_params.z,
-            "u": result.reward_params.u,
-            "kappa": result.reward_params.kappa,
-        },
+        "reward": asdict(result.reward_params),
         "scales": result.scales.tolist(),
         "actors": [_arrays_to_lists(actor.params()) for actor in result.actors],
         "critics": [_arrays_to_lists(critic.params()) for critic in result.critics],
@@ -540,6 +517,20 @@ def _require(blob: dict, keys, where: str) -> None:
     missing = [key for key in keys if key not in blob]
     if missing:
         raise ValueError(f"{where}: missing keys {missing}")
+
+
+def _checked_array(who: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a finite float array of ``shape``; a ``None`` in
+    ``shape`` takes any length."""
+    try:
+        value = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{who} must be an array of numbers") from None
+    if value.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, value.shape)):
+        raise ValueError(f"{who} has shape {value.shape}, expected {shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{who} must be finite")
+    return value
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -569,13 +560,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         value = reward[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValueError(f"{where}: reward.{key} must be a finite number, got {value!r}")
-    try:
-        scales = np.asarray(payload["scales"], dtype=float)
-    except (TypeError, ValueError):
-        scales = np.empty(0)
-    shape = (N_AGENTS, STATE_DIM // N_AGENTS)
-    if scales.shape != shape or not (np.isfinite(scales) & (scales > 0.0)).all():
-        raise ValueError(f"{where}: scales must be a {shape} array of finite positive values")
+    scales = _checked_array(f"{where}: scales", payload["scales"], (N_AGENTS, STATE_DIM // N_AGENTS))
+    if not (scales > 0.0).all():
+        raise ValueError(f"{where}: scales must be positive")
     independent = mode == "independent"
     obs_dim = observation_dim(observation)
     critic_dim = obs_dim if independent else STATE_DIM
@@ -586,26 +573,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not isinstance(critics, list) or len(critics) != n_critics:
         raise ValueError(f"{where}: critics must be a list of {n_critics} networks for mode {mode!r}")
 
-    def input_weights(blob: dict, name: str, expected: int) -> np.ndarray:
-        _require(blob, ("w1",), f"{where}: {name}")
-        w1 = np.asarray(blob["w1"], dtype=float)
-        if w1.ndim != 2 or w1.shape[0] != expected:
-            raise ValueError(f"{where}: {name} has input weights of shape {w1.shape}, expected {expected} inputs")
-        return w1
-
-    def rebuild_actor(k: int, blob: dict) -> GaussianActor:
-        w1 = input_weights(blob, f"actor {k}", obs_dim)
-        _require(blob, ("log_std",), f"{where}: actor {k}")
-        actor = GaussianActor(obs_dim=obs_dim, act_dim=ACTION_DIM, hidden=w1.shape[1])
-        actor.net.set_params(blob)
-        actor.log_std[...] = np.asarray(blob["log_std"], dtype=float)
-        return actor
-
-    def rebuild_critic(k: int, blob: dict) -> Critic:
-        w1 = input_weights(blob, f"critic {k}", critic_dim)
-        critic = Critic(obs_dim=critic_dim, hidden=w1.shape[1])
-        critic.net.set_params(blob)
-        return critic
+    def rebuild(kind: str, cls: type, in_dim: int, k: int, blob: dict) -> GaussianActor | Critic:
+        """A ``cls`` network as wide as ``w1``, every parameter read
+        through ``_checked_array``."""
+        who = f"{where}: {kind} {k}"
+        _require(blob, ("w1",), who)
+        net = cls(in_dim, hidden=_checked_array(f"{who}.w1", blob["w1"], (in_dim, None)).shape[1])
+        _require(blob, net.params(), who)
+        for name, value in net.params().items():
+            value[...] = _checked_array(f"{who}.{name}", blob[name], value.shape)
+        return net
 
     return Checkpoint(
         mode=mode,
@@ -614,6 +591,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         scenario_hash=payload["scenario_hash"],
         reward_params=RewardParams(z=reward["z"], u=reward["u"], kappa=reward["kappa"]),
         scales=scales,
-        actors=[rebuild_actor(k, blob) for k, blob in enumerate(actors)],
-        critics=[rebuild_critic(k, blob) for k, blob in enumerate(critics)],
+        actors=[rebuild("actor", GaussianActor, obs_dim, k, blob) for k, blob in enumerate(actors)],
+        critics=[rebuild("critic", Critic, critic_dim, k, blob) for k, blob in enumerate(critics)],
     )

@@ -91,15 +91,6 @@ class Mlp:
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2, "w3": self.w3, "b3": self.b3}
 
-    def set_params(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in self.params().items():
-            if name not in values:
-                raise ValueError(f"missing parameter {name}")
-            src = np.asarray(values[name], dtype=float)
-            if src.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {src.shape} vs {arr.shape}")
-            arr[...] = src
-
 
 class Adam:
     """First-order moment-adaptive optimizer, updates parameters in place."""

@@ -421,11 +421,11 @@ def assert_within_limits(
     cogeneration unit pumps more than its gross output; used to re-validate
     exports.  The error names the first such step, community and setpoint."""
     lo, hi = setpoint_box(fleet, limits, dt)
-    outside = (x < lo - tol) | (x > hi + tol)
+    outside = ~((x >= lo - tol) & (x <= hi + tol))  # NaN is outside
     if outside.any():
         t, i, k = np.argwhere(outside)[0]
         raise ValueError(f"step {t}, community {i + 1}: {SETPOINTS[k]}={x[t, i, k]} outside [{lo[i, k]}, {hi[i, k]}]")
-    overdraw = x[..., P_TP] - fleet.q * x[..., W_RATE] < -tol
+    overdraw = ~(x[..., P_TP] - fleet.q * x[..., W_RATE] >= -tol)
     if overdraw.any():
         t, i = np.argwhere(overdraw)[0]
         raise ValueError(f"step {t}, community {i + 1}: cogeneration pumping demand exceeds gross output")

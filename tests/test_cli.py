@@ -164,6 +164,10 @@ CHECKPOINT_CORRUPTIONS = {
     "scales-shape": (lambda c: c.update(scales=[1.0, 2.0]), "scales"),
     "reward-not-a-number": (lambda c: c["reward"].update(z="x"), "reward.z"),
     "actors-not-a-list": (lambda c: c.update(actors=3), "actors"),
+    "w1-not-an-array": (lambda c: c["actors"][0].update(w1={}), "actor 0.w1"),
+    "log_std-not-a-number": (lambda c: c["actors"][2].update(log_std="x"), "actor 2.log_std"),
+    "critic-b1-not-a-number": (lambda c: c["critics"][0].update(b1="x"), "critic 0.b1"),
+    "nonfinite-weights": (lambda c: c["actors"][1]["w2"][0].__setitem__(0, float("nan")), "actor 1.w2"),
 }
 
 
@@ -295,6 +299,10 @@ def chp_out_of_box(x):
     x[1, 0, system.P_CHP] = 6000.0
 
 
+def chp_not_a_number(x):
+    x[1, 0, system.P_CHP] = float("nan")
+
+
 def exchange_not_conserving(x):
     x[1, 0, system.P_EXCH] += 10.0
 
@@ -302,6 +310,7 @@ def exchange_not_conserving(x):
 # Corruptions of the setpoints of step 1, each with the words the error must contain.
 EXPORT_CORRUPTIONS = {
     "out-of-box": (chp_out_of_box, "step 1, community 1: p_chp"),
+    "nan": (chp_not_a_number, "step 1, community 1: p_chp"),
     "not-conserving": (exchange_not_conserving, "step 1: exchanges do not conserve"),
 }
 

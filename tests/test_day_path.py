@@ -5,8 +5,8 @@ Every dispatch number of the package comes from the array kernels of
 so ``DispatchEnv.step``), ``greedy_rollout``, the oracle's rows and the
 scalar functions of the public API.  These tests hold each of them equal,
 with ``==`` and not a tolerance, to ``scalar_reference``, the same chain
-written one Python float at a time, and hold one-pass training equal to a
-collector that steps through the day one transition at a time.
+written one Python float at a time, and hold batched training equal to a
+collector that steps through each day one transition at a time.
 """
 
 import itertools
@@ -27,17 +27,15 @@ from iesdispatch.env import (
     MODES,
     N_AGENTS,
     OBSERVATION_MODES,
-    STATE_DIM,
     DispatchEnv,
     RewardParams,
     agent_observation,
     encode_state,
     evaluate_day,
     evaluate_step,
-    observation_dim,
     settle_day,
 )
-from iesdispatch.learner import LogRow, TrainConfig, _Episode, sample_action
+from iesdispatch.learner import LogRow, TrainConfig, sample_action
 from iesdispatch.scenario import PROFILES, ScenarioSpec, generate_scenario
 from iesdispatch.system import (
     BalanceOptions,
@@ -181,51 +179,112 @@ class TestDayStates:
                 np.testing.assert_array_equal(env.observations[k, t], agent_observation(state, k, observation))
 
 
-def step_by_step_collect(env, actors, critics, rng, independent):
+def step_by_step_collect(env, actors, critics, rng, independent, episodes):
     """Reference collector: one transition at a time, with one batch-1
     forward per network, one noise draw per agent and step, and the scalar
-    reference's ``evaluate_step``.  The one-pass ``learner._collect_episode``
-    must reproduce it."""
-    obs_dim = observation_dim(env.observation)
-    states = np.empty((EPISODE_STEPS, STATE_DIM))
-    obs_arr = np.empty((N_AGENTS, EPISODE_STEPS, obs_dim))
-    actions = np.empty((N_AGENTS, EPISODE_STEPS, ACTION_DIM))
-    log_probs = np.empty((N_AGENTS, EPISODE_STEPS))
-    team_rewards = np.empty(EPISODE_STEPS)
-    agent_rewards = np.empty((N_AGENTS, EPISODE_STEPS))
-    values = np.empty((N_AGENTS if independent else 1, EPISODE_STEPS))
-    records = []
+    reference's ``evaluate_step``, episode after episode.  The batched
+    ``learner._collect_batch`` must reproduce it."""
+    n = len(episodes)
+    n_streams = N_AGENTS if independent else 1
+    actions = np.empty((n, EPISODE_STEPS, N_AGENTS, ACTION_DIM))
+    log_probs = np.empty((n, EPISODE_STEPS, N_AGENTS))
+    rewards = np.empty((n_streams, n, EPISODE_STEPS))
+    values = np.empty((n, n_streams, EPISODE_STEPS))
+    rows = []
 
-    for t in range(EPISODE_STEPS):
-        state = encode_state(env.scenario, t, env.scales)
-        states[t] = state
-        per_agent = [agent_observation(state, k, env.observation) for k in range(N_AGENTS)]
-        for k in range(N_AGENTS):
-            obs_arr[k, t] = per_agent[k]
-            actions[k, t], log_probs[k, t] = sample_action(
-                actors[k].mean_action(per_agent[k]), actors[k].clamped_log_std(), rng
-            )
-        if independent:
+    for e, episode in enumerate(episodes):
+        records = []
+        for t in range(EPISODE_STEPS):
+            state = encode_state(env.scenario, t, env.scales)
+            per_agent = [agent_observation(state, k, env.observation) for k in range(N_AGENTS)]
             for k in range(N_AGENTS):
-                values[k, t] = critics[k].net.forward(per_agent[k])[0][0, 0]
-        else:
-            values[0, t] = critics[0].net.forward(state)[0][0, 0]
-        record = ref.evaluate_step(env.scenario, t, actions[:, t, :], env.system_cfg, env.reward_params, env.mode, env.dt)
-        team_rewards[t] = record.reward
-        agent_rewards[:, t] = reference_agent_rewards(record, env.reward_params)
-        records.append(record)
+                actions[e, t, k], log_probs[e, t, k] = sample_action(
+                    actors[k].mean_action(per_agent[k]), actors[k].clamped_log_std(), rng
+                )
+            if independent:
+                for k in range(N_AGENTS):
+                    values[e, k, t] = critics[k].net.forward(per_agent[k])[0][0, 0]
+            else:
+                values[e, 0, t] = critics[0].net.forward(state)[0][0, 0]
+            record = ref.evaluate_step(env.scenario, t, actions[e, t], env.system_cfg, env.reward_params, env.mode, env.dt)
+            rewards[:, e, t] = reference_agent_rewards(record, env.reward_params) if independent else record.reward
+            records.append(record)
+        rows.append(LogRow(
+            episode=episode,
+            mean_reward=float(np.mean([r.reward for r in records])),
+            total_cost=float(left_sum(r.cost_total for r in records)),
+            total_penalty=float(left_sum(r.penalty_total for r in records)),
+            curtailment_kwh=float(left_sum(r.curtailed_total for r in records)) * env.dt,
+        ))
 
-    row = LogRow(
-        episode=-1,
-        mean_reward=float(team_rewards.mean()),
-        total_cost=float(left_sum(r.cost_total for r in records)),
-        total_penalty=float(left_sum(r.penalty_total for r in records)),
-        curtailment_kwh=float(left_sum(r.curtailed_total for r in records)) * env.dt,
-    )
-    return _Episode(states, obs_arr, actions, log_probs, team_rewards, agent_rewards, values), row
+    # The parameters stay fixed until the update, so every episode's values agree.
+    assert (values == values[0]).all()
+    return actions, log_probs, rewards, values[0], rows
+
+
+def episode_gae(rewards, values, discount, gae_lambda):
+    """Reference advantages of one episode and reward stream, one Python
+    float at a time."""
+    advantages = np.empty(len(rewards))
+    running = next_value = 0.0
+    for t in reversed(range(len(rewards))):
+        delta = float(rewards[t]) + discount * next_value - float(values[t])
+        running = delta + discount * gae_lambda * running
+        advantages[t] = running
+        next_value = float(values[t])
+    return advantages, advantages + values
+
+
+def episode_by_episode_update(
+    actors, critics, actor_opts, critic_opts, actions, log_probs, rewards, values, env, cfg, independent
+):
+    """Reference update: the buffer concatenated one episode at a time, the
+    advantages of each episode and reward stream from ``episode_gae``,
+    normalized per stream, then the epochs of full-batch steps."""
+    n = len(actions)
+    states = np.concatenate([env.states] * n)
+    obs = [np.concatenate([env.observations[k]] * n) for k in range(N_AGENTS)]
+    agent_actions = [np.concatenate([actions[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
+    agent_log_probs = [np.concatenate([log_probs[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
+    advantages, returns = [], []
+    for stream_rewards, stream_values in zip(rewards, values):
+        parts = [episode_gae(r, stream_values, cfg.discount, cfg.gae_lambda) for r in stream_rewards]
+        advantages.append(learner.normalize_advantages(np.concatenate([adv for adv, _ in parts])))
+        returns.append(np.concatenate([ret for _, ret in parts]))
+    for _ in range(cfg.epochs_per_update):
+        for k in range(N_AGENTS):
+            _, grads = learner.actor_loss_and_grads(
+                actors[k], obs[k], agent_actions[k], agent_log_probs[k], advantages[k if independent else 0], cfg.clip_eps
+            )
+            learner.clip_grads_(grads, learner.MAX_GRAD_NORM)
+            actor_opts[k].step(grads)
+        for ci, critic in enumerate(critics):
+            _, grads = learner.critic_loss_and_grads(critic, obs[ci] if independent else states, returns[ci])
+            learner.clip_grads_(grads, learner.MAX_GRAD_NORM)
+            critic_opts[ci].step(grads)
 
 
 class TestOnePassTraining:
+    def check_against_the_reference(self, monkeypatch, env, cfg, batch_sizes):
+        independent = env.mode == "independent"
+        one_pass = learner._train(env, cfg, independent)
+        seen = []
+
+        def update(*args):
+            seen.append(len(args[4]))
+            episode_by_episode_update(*args)
+
+        monkeypatch.setattr(learner, "_collect_batch", step_by_step_collect)
+        monkeypatch.setattr(learner, "_update", update)
+        stepped = learner._train(env, cfg, independent)
+
+        assert seen == batch_sizes
+        assert one_pass.log == stepped.log
+        assert [row.episode for row in one_pass.log] == list(range(cfg.episodes))
+        for fast, slow in zip(one_pass.actors + one_pass.critics, stepped.actors + stepped.critics):
+            for name, value in fast.params().items():
+                assert np.array_equal(value, slow.params()[name]), name
+
     @pytest.mark.parametrize("options", [BalanceOptions(), BalanceOptions(True, True, True)], ids=["default", "strict"])
     @pytest.mark.parametrize("observation", OBSERVATION_MODES)
     @pytest.mark.parametrize("mode", MODES)
@@ -233,16 +292,19 @@ class TestOnePassTraining:
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=4))
         env = DispatchEnv(scenario, system(8.0, options, False), RewardParams(kappa=1.5), mode, observation)
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, batch=48, episodes=8, discount=0.0, seed=5)
-        independent = mode == "independent"
+        self.check_against_the_reference(monkeypatch, env, cfg, [2, 2, 2, 2])
 
-        one_pass = learner._train(env, cfg, independent)
-        monkeypatch.setattr(learner, "_collect_episode", step_by_step_collect)
-        stepped = learner._train(env, cfg, independent)
-
-        assert one_pass.log == stepped.log
-        for fast, slow in zip(one_pass.actors + one_pass.critics, stepped.actors + stepped.critics):
-            for name, value in fast.params().items():
-                assert np.array_equal(value, slow.params()[name]), name
+    @pytest.mark.parametrize("observation", OBSERVATION_MODES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_discounted_advantages_and_a_partial_batch(self, monkeypatch, mode, observation):
+        """Five episodes per update, then a trailing batch of three, with
+        the advantage recursion running over every step."""
+        scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=4))
+        env = DispatchEnv(scenario, system(8.0, BalanceOptions(), False), RewardParams(kappa=1.5), mode, observation)
+        cfg = TrainConfig(
+            actor_lr=3e-4, critic_lr=1e-3, batch=100, episodes=13, discount=0.99, gae_lambda=0.9, seed=5
+        )
+        self.check_against_the_reference(monkeypatch, env, cfg, [5, 5, 3])
 
     def test_greedy_rollout_equals_stepping_the_means(self):
         env = DispatchEnv(generate_scenario(ScenarioSpec(noise_std=0.05, seed=6)), system(7.3, BalanceOptions(), True))

@@ -220,6 +220,21 @@ class TestTrainingLoop:
         train_mappo(small_env(), TrainConfig(episodes=7, batch=96, seed=0))
         assert batches == [4, 3]
 
+    def test_nan_team_reward_names_its_episode(self, monkeypatch):
+        days = []
+        real_evaluate_day = learner.evaluate_day
+
+        def evaluate_day(*args):
+            day = real_evaluate_day(*args)
+            days.append(day)
+            if len(days) == 6:
+                day.team_reward[3] = float("nan")
+            return day
+
+        monkeypatch.setattr(learner, "evaluate_day", evaluate_day)
+        with pytest.raises(TrainingDiverged, match=r"^episode 5: mean reward is nan$"):
+            train_mappo(small_env(), TrainConfig(episodes=12, batch=96, seed=0))
+
     def test_independent_requires_independent_env(self):
         with pytest.raises(ValueError):
             train_independent(small_env(mode="coordinated"), TrainConfig(episodes=1))
