@@ -146,7 +146,7 @@ def gae_advantages(
     values = np.asarray(values, dtype=float)
     if rewards.shape != values.shape:
         raise ValueError(f"rewards and values lengths differ: {rewards.shape} vs {values.shape}")
-    advantages = np.empty_like(rewards)
+    advantages = np.empty(rewards.shape)  # C order: a stream normalizes episode-major
     running = 0.0
     next_value = 0.0
     for t in range(rewards.shape[-1] - 1, -1, -1):
@@ -173,8 +173,9 @@ class GaussianActor:
         rng: np.random.Generator | None = None,
         hidden: int = HIDDEN_UNITS,
     ) -> None:
-        self.net = Mlp(obs_dim, act_dim, hidden, rng)
-        self.log_std = np.full(act_dim, LOG_STD_INIT)
+        self.net = Mlp(obs_dim, act_dim, hidden, rng, tail={"log_std": (act_dim,)})
+        self.log_std = self.net.params()["log_std"]
+        self.log_std[...] = LOG_STD_INIT
 
     def clamped_log_std(self) -> np.ndarray:
         return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
@@ -187,9 +188,7 @@ class GaussianActor:
         return gaussian_log_prob(mean, self.clamped_log_std(), actions)
 
     def params(self) -> dict[str, np.ndarray]:
-        out = dict(self.net.params())
-        out["log_std"] = self.log_std
-        return out
+        return self.net.params()
 
 
 class Critic:
@@ -207,16 +206,22 @@ class Critic:
         return self.net.params()
 
 
+def _over_episodes(x: np.ndarray) -> np.ndarray:
+    """``x`` (..., R, n) summed over its leading episode axes."""
+    return x.reshape(-1, *x.shape[-2:]).sum(axis=0)
+
+
 def _log_density_grads(
     actor: GaussianActor, mean: np.ndarray, cache: tuple, actions: np.ndarray, dlp: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Exact gradients of a loss whose derivative by each row's
-    log-density is ``dlp``, through the mean network and the log-std."""
+    """Exact gradients of a loss whose derivative by each log-density of
+    ``actions`` (..., R, act) is ``dlp`` (..., R), through the mean network
+    on the R rows and the log-std."""
     inv_std = np.exp(-actor.clamped_log_std())
     z = (actions - mean) * inv_std
-    grads = actor.net.backward(cache, dlp[:, None] * (z * inv_std))
+    grads = actor.net.backward(cache, _over_episodes(dlp[..., None] * (z * inv_std)))
     in_range = (actor.log_std >= LOG_STD_MIN) & (actor.log_std <= LOG_STD_MAX)
-    grads["log_std"] = (dlp[:, None] * (z * z - 1.0)).sum(axis=0) * in_range
+    grads["log_std"][...] = (dlp[..., None] * (z * z - 1.0)).reshape(-1, len(in_range)).sum(axis=0) * in_range
     return grads
 
 
@@ -228,7 +233,9 @@ def actor_loss_and_grads(
     advantages: np.ndarray,
     clip_eps: float,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Clipped-surrogate loss and its exact gradients for one actor."""
+    """Clipped-surrogate loss and its exact gradients for one actor: the
+    network runs on ``obs`` (R, in); the other arrays may carry leading
+    episode axes (..., R) that share those rows."""
     mean, cache = actor.net.forward(obs)
     lp_new = gaussian_log_prob(mean, actor.clamped_log_std(), actions)
     ratio = prob_ratio(lp_new, log_prob_old)
@@ -238,18 +245,19 @@ def actor_loss_and_grads(
     inside_band = (ratio > 1.0 - clip_eps) & (ratio < 1.0 + clip_eps)
     dmin_dratio = np.where(through_raw, advantages, advantages * inside_band)
     dratio_dlp = np.where(np.abs(lp_new - log_prob_old) < RATIO_EXP_CLAMP, ratio, 0.0)
-    dlp = -(dmin_dratio * dratio_dlp) / len(advantages)
+    dlp = -(dmin_dratio * dratio_dlp) / advantages.size
     return loss, _log_density_grads(actor, mean, cache, actions, dlp)
 
 
 def critic_loss_and_grads(
     critic: Critic, obs: np.ndarray, returns: np.ndarray
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean squared error against the value targets, with gradients."""
+    """Mean squared error against the value targets, with gradients; the
+    targets (..., R) may carry leading episode axes over the R rows."""
     out, cache = critic.net.forward(obs)
     err = out[:, 0] - returns
     loss = float(np.mean(err * err))
-    grads = critic.net.backward(cache, (2.0 / len(err)) * err[:, None])
+    grads = critic.net.backward(cache, _over_episodes(((2.0 / err.size) * err)[..., None]))
     return loss, grads
 
 
@@ -263,7 +271,7 @@ def log_prob_loss_and_grads(
     """
     mean, cache = actor.net.forward(obs)
     lp = gaussian_log_prob(mean, actor.clamped_log_std(), actions)
-    return float(lp.mean()), _log_density_grads(actor, mean, cache, actions, np.full(len(lp), 1.0 / len(lp)))
+    return float(lp.mean()), _log_density_grads(actor, mean, cache, actions, np.full(lp.shape, 1.0 / lp.size))
 
 
 class RewardMonitor:
@@ -379,31 +387,27 @@ def _update(
     cfg: TrainConfig,
     independent: bool,
 ) -> None:
-    """Several epochs of full-batch steps on one batch of ``_collect_batch``,
-    its E episodes stacked episode-major: E x 24 rows per network."""
-    n_episodes = len(actions)
-    rows = n_episodes * EPISODE_STEPS
-    states = np.tile(env.states, (n_episodes, 1))
-    obs = np.tile(env.observations, (1, n_episodes, 1))
-    actions = np.moveaxis(actions, 2, 0).reshape(N_AGENTS, rows, ACTION_DIM)
-    log_probs_old = np.moveaxis(log_probs, 2, 0).reshape(N_AGENTS, rows)
+    """Several epochs of full-batch steps on one batch of ``_collect_batch``.
+    Its E episodes saw the same 24 states, so each network runs on those 24
+    rows and its loss sums the E episodes' gradients at the output."""
     advantages, returns = gae_advantages(
         rewards, np.broadcast_to(values[:, None, :], rewards.shape), cfg.discount, cfg.gae_lambda
     )
-    advantages = [normalize_advantages(adv) for adv in advantages.reshape(-1, rows)]
-    returns = returns.reshape(-1, rows)
+    advantages = [normalize_advantages(adv) for adv in advantages]
 
     for _ in range(cfg.epochs_per_update):
         for k in range(N_AGENTS):
             adv = advantages[k] if independent else advantages[0]
-            _, grads = actor_loss_and_grads(actors[k], obs[k], actions[k], log_probs_old[k], adv, cfg.clip_eps)
-            clip_grads_(grads, MAX_GRAD_NORM)
-            actor_opts[k].step(grads)
+            _, grads = actor_loss_and_grads(
+                actors[k], env.observations[k], actions[:, :, k], log_probs[:, :, k], adv, cfg.clip_eps
+            )
+            clip_grads_(grads.vector, MAX_GRAD_NORM)
+            actor_opts[k].step(grads.vector)
         for ci, critic in enumerate(critics):
-            inputs = obs[ci] if independent else states
+            inputs = env.observations[ci] if independent else env.states
             _, grads = critic_loss_and_grads(critic, inputs, returns[ci])
-            clip_grads_(grads, MAX_GRAD_NORM)
-            critic_opts[ci].step(grads)
+            clip_grads_(grads.vector, MAX_GRAD_NORM)
+            critic_opts[ci].step(grads.vector)
 
 
 def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult:
@@ -414,11 +418,10 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
         critics = [Critic(obs_dim, rng) for _ in range(N_AGENTS)]
     else:
         critics = [Critic(STATE_DIM, rng)]
-    actor_opts = [
-        Adam(actor.params(), cfg.actor_lr, lr_overrides={"log_std": LOG_STD_LR_MULT * cfg.actor_lr})
-        for actor in actors
-    ]
-    critic_opts = [Adam(critic.params(), cfg.critic_lr) for critic in critics]
+    actor_lr = np.full(actors[0].net.vector.size, cfg.actor_lr)
+    actor_lr[-ACTION_DIM:] = LOG_STD_LR_MULT * cfg.actor_lr
+    actor_opts = [Adam(actor.net.vector, actor_lr) for actor in actors]
+    critic_opts = [Adam(critic.net.vector, cfg.critic_lr) for critic in critics]
 
     monitor = RewardMonitor()
     log: list[LogRow] = []

@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from .system import left_sum
-
 HIDDEN_UNITS = 128
 
 
@@ -25,8 +23,24 @@ def orthogonal_init(rows: int, cols: int, gain: float, rng: np.random.Generator)
     return np.ascontiguousarray(gain * q[:rows, :cols])
 
 
+class Params(dict):
+    """Arrays by name, each a view into one flat ``vector``, in order."""
+
+    def __init__(self, vector: np.ndarray, shapes: dict[str, tuple[int, ...]]) -> None:
+        super().__init__()
+        self.vector = vector
+        start = 0
+        for name, shape in shapes.items():
+            self[name] = vector[start : start + math.prod(shape)].reshape(shape)
+            start += math.prod(shape)
+
+
 class Mlp:
-    """input -> tanh(hidden) -> tanh(hidden) -> linear output."""
+    """input -> tanh(hidden) -> tanh(hidden) -> linear output.
+
+    ``w1 ... b3`` are views into one flat ``vector``; ``tail`` names more
+    arrays stored after them (the actor's log-std).
+    """
 
     def __init__(
         self,
@@ -35,21 +49,19 @@ class Mlp:
         hidden: int = HIDDEN_UNITS,
         rng: np.random.Generator | None = None,
         out_gain: float = 0.01,
+        tail: dict[str, tuple[int, ...]] | None = None,
     ) -> None:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden
-        if rng is None:
-            self.w1 = np.zeros((in_dim, hidden))
-            self.w2 = np.zeros((hidden, hidden))
-            self.w3 = np.zeros((hidden, out_dim))
-        else:
-            self.w1 = orthogonal_init(in_dim, hidden, math.sqrt(2.0), rng)
-            self.w2 = orthogonal_init(hidden, hidden, math.sqrt(2.0), rng)
-            self.w3 = orthogonal_init(hidden, out_dim, out_gain, rng)
-        self.b1 = np.zeros(hidden)
-        self.b2 = np.zeros(hidden)
-        self.b3 = np.zeros(out_dim)
+        layers = {"w1": (in_dim, hidden), "b1": (hidden,), "w2": (hidden, hidden), "b2": (hidden,)}
+        self.shapes = {**layers, "w3": (hidden, out_dim), "b3": (out_dim,), **(tail or {})}
+        self.vector = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = list(self.params().values())[:6]
+        if rng is not None:
+            self.w1[...] = orthogonal_init(in_dim, hidden, math.sqrt(2.0), rng)
+            self.w2[...] = orthogonal_init(hidden, hidden, math.sqrt(2.0), rng)
+            self.w3[...] = orthogonal_init(hidden, out_dim, out_gain, rng)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -76,69 +88,70 @@ class Mlp:
         h2 = np.tanh(h1 @ self.w2 + self.b2)
         return (h2 @ self.w3 + self.b3)[:, 0, :]
 
-    def backward(self, cache: tuple, dy: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients given the loss gradient at the output."""
+    def backward(self, cache: tuple, dy: np.ndarray) -> Params:
+        """Parameter gradients given the loss gradient at the output, as
+        views into one fresh vector; the ``tail`` entries are left unset."""
         x, h1, h2 = cache
-        grads = {"w3": h2.T @ dy, "b3": dy.sum(axis=0)}
+        grads = Params(np.empty_like(self.vector), self.shapes)
+        np.matmul(h2.T, dy, out=grads["w3"])
+        dy.sum(axis=0, out=grads["b3"])
         dh2 = (dy @ self.w3.T) * (1.0 - h2 * h2)
-        grads["w2"] = h1.T @ dh2
-        grads["b2"] = dh2.sum(axis=0)
+        np.matmul(h1.T, dh2, out=grads["w2"])
+        dh2.sum(axis=0, out=grads["b2"])
         dh1 = (dh2 @ self.w2.T) * (1.0 - h1 * h1)
-        grads["w1"] = x.T @ dh1
-        grads["b1"] = dh1.sum(axis=0)
+        np.matmul(x.T, dh1, out=grads["w1"])
+        dh1.sum(axis=0, out=grads["b1"])
         return grads
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2, "w3": self.w3, "b3": self.b3}
+    def params(self) -> Params:
+        return Params(self.vector, self.shapes)
 
 
 class Adam:
-    """First-order moment-adaptive optimizer, updates parameters in place."""
+    """First-order moment-adaptive optimizer over one flat parameter
+    vector, updated in place; ``lr`` is one rate or one rate per entry.
+
+    A step allocates nothing: it works in two scratch vectors, in the
+    operation order of ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``.
+    """
 
     def __init__(
         self,
-        params: dict[str, np.ndarray],
-        lr: float,
+        params: np.ndarray,
+        lr: float | np.ndarray,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
-        lr_overrides: dict[str, float] | None = None,
     ) -> None:
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.lr_overrides = dict(lr_overrides) if lr_overrides else {}
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            lr = self.lr_overrides.get(name, self.lr)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        a, b = self._scratch
+        self.m *= self.beta1
+        self.m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        self.v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        np.sqrt(np.divide(self.v, bc2, out=a), out=a)
+        a += self.eps
+        np.multiply(self.lr, np.divide(self.m, bc1, out=b), out=b)
+        self.params -= np.divide(b, a, out=b)
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    return math.sqrt(left_sum(float(np.sum(g * g)) for g in grads.values()))
-
-
-def clip_grads_(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place if their global norm exceeds the cap."""
-    norm = global_grad_norm(grads)
+def clip_grads_(grad: np.ndarray, max_norm: float) -> float:
+    """Scale the gradient vector in place if its norm exceeds the cap."""
+    norm = math.sqrt(grad @ grad)
     if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        grad *= max_norm / norm
     return norm

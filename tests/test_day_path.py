@@ -238,30 +238,37 @@ def episode_gae(rewards, values, discount, gae_lambda):
 def episode_by_episode_update(
     actors, critics, actor_opts, critic_opts, actions, log_probs, rewards, values, env, cfg, independent
 ):
-    """Reference update: the buffer concatenated one episode at a time, the
+    """Reference update: the buffer stacked one episode at a time, the
     advantages of each episode and reward stream from ``episode_gae``,
-    normalized per stream, then the epochs of full-batch steps."""
+    normalized per stream, then the epochs of full-batch steps, each
+    network on the day's 24 rows with the (E, 24, ...) arrays in episode
+    order."""
     n = len(actions)
-    states = np.concatenate([env.states] * n)
-    obs = [np.concatenate([env.observations[k]] * n) for k in range(N_AGENTS)]
-    agent_actions = [np.concatenate([actions[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
-    agent_log_probs = [np.concatenate([log_probs[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
+    agent_actions = [np.stack([actions[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
+    agent_log_probs = [np.stack([log_probs[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
     advantages, returns = [], []
     for stream_rewards, stream_values in zip(rewards, values):
         parts = [episode_gae(r, stream_values, cfg.discount, cfg.gae_lambda) for r in stream_rewards]
-        advantages.append(learner.normalize_advantages(np.concatenate([adv for adv, _ in parts])))
-        returns.append(np.concatenate([ret for _, ret in parts]))
+        advantages.append(learner.normalize_advantages(np.concatenate([adv for adv, _ in parts])).reshape(n, -1))
+        returns.append(np.stack([ret for _, ret in parts]))
     for _ in range(cfg.epochs_per_update):
         for k in range(N_AGENTS):
             _, grads = learner.actor_loss_and_grads(
-                actors[k], obs[k], agent_actions[k], agent_log_probs[k], advantages[k if independent else 0], cfg.clip_eps
+                actors[k],
+                env.observations[k],
+                agent_actions[k],
+                agent_log_probs[k],
+                advantages[k if independent else 0],
+                cfg.clip_eps,
             )
-            learner.clip_grads_(grads, learner.MAX_GRAD_NORM)
-            actor_opts[k].step(grads)
+            learner.clip_grads_(grads.vector, learner.MAX_GRAD_NORM)
+            actor_opts[k].step(grads.vector)
         for ci, critic in enumerate(critics):
-            _, grads = learner.critic_loss_and_grads(critic, obs[ci] if independent else states, returns[ci])
-            learner.clip_grads_(grads, learner.MAX_GRAD_NORM)
-            critic_opts[ci].step(grads)
+            _, grads = learner.critic_loss_and_grads(
+                critic, env.observations[ci] if independent else env.states, returns[ci]
+            )
+            learner.clip_grads_(grads.vector, learner.MAX_GRAD_NORM)
+            critic_opts[ci].step(grads.vector)
 
 
 class TestOnePassTraining:

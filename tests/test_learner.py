@@ -8,12 +8,17 @@ import pytest
 from iesdispatch import learner
 from iesdispatch.env import DispatchEnv, RewardParams
 from iesdispatch.learner import (
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     Checkpoint,
+    Critic,
     GaussianActor,
     RewardMonitor,
     TrainConfig,
     TrainingDiverged,
+    actor_loss_and_grads,
     clipped_surrogate,
+    critic_loss_and_grads,
     gae_advantages,
     gaussian_log_prob,
     greedy_rollout,
@@ -146,6 +151,78 @@ class TestGae:
         assert adv.std() == pytest.approx(1.0, rel=1e-6)
 
 
+def assert_close_relative(new, tiled, rel=1e-12):
+    """Each array within ``rel`` of its tiled counterpart, relative to the
+    largest entry of that array."""
+    new, tiled = np.asarray(new), np.asarray(tiled)
+    assert new.shape == tiled.shape
+    assert np.max(np.abs(new - tiled)) <= rel * np.max(np.abs(tiled))
+
+
+def episode_batch(seed, episodes):
+    """An actor with one log-std entry above and one below its clamp band,
+    a critic, the day's 24 rows and (E, 24, ...) episode arrays whose
+    ratios fall inside and outside the clip band."""
+    rng = np.random.default_rng(seed)
+    actor = GaussianActor(4, 8, rng=rng)
+    actor.net.w3[...] = rng.standard_normal(actor.net.w3.shape) * 0.3
+    actor.log_std[...] = rng.uniform(-1.5, 0.3, 8)
+    actor.log_std[2] = LOG_STD_MAX + 0.5
+    actor.log_std[5] = LOG_STD_MIN - 1.0
+    critic = Critic(4, rng=rng)
+    obs = rng.uniform(0.0, 1.5, (24, 4))
+    actions = rng.standard_normal((episodes, 24, 8))
+    log_prob_old = actor.log_probs(obs, actions) + rng.uniform(-0.5, 0.5, (episodes, 24))
+    advantages = rng.standard_normal((episodes, 24))
+    returns = rng.standard_normal((episodes, 24))
+    return actor, critic, obs, actions, log_prob_old, advantages, returns
+
+
+class TestEpisodeAxis:
+    """Losses on the day's 24 rows with leading episode axes against the
+    same losses on the E x 24 rows tiled episode-major."""
+
+    @pytest.mark.parametrize("episodes", [1, 4, 5])
+    def test_equals_the_tiled_rows(self, episodes):
+        actor, critic, obs, actions, lp_old, advantages, returns = episode_batch(episodes, episodes)
+        ratio = np.exp(actor.log_probs(obs, actions) - lp_old)
+        assert ((ratio > 0.8) & (ratio < 1.2)).any() and ((ratio < 0.8) | (ratio > 1.2)).any()
+        tiled_obs = np.tile(obs, (episodes, 1))
+        flat = [x.reshape(episodes * 24, *x.shape[2:]) for x in (actions, lp_old, advantages, returns)]
+
+        new = (
+            actor_loss_and_grads(actor, obs, actions, lp_old, advantages, 0.2),
+            critic_loss_and_grads(critic, obs, returns),
+        )
+        tiled = (
+            actor_loss_and_grads(actor, tiled_obs, flat[0], flat[1], flat[2], 0.2),
+            critic_loss_and_grads(critic, tiled_obs, flat[3]),
+        )
+        for (loss, grads), (tiled_loss, tiled_grads) in zip(new, tiled):
+            assert list(grads) == list(tiled_grads)
+            if episodes == 1:
+                assert loss == tiled_loss
+                assert np.array_equal(grads.vector, tiled_grads.vector)
+            assert_close_relative(loss, tiled_loss)
+            for name in grads:
+                assert_close_relative(grads[name], tiled_grads[name])
+        assert new[0][1]["log_std"][2] == 0.0 and new[0][1]["log_std"][5] == 0.0
+
+    def test_loss_gradients_do_not_alias(self):
+        """Gradients from one call survive a later call on the same networks."""
+        actor, critic, obs, actions, lp_old, advantages, returns = episode_batch(0, 4)
+        _, actor_grads = actor_loss_and_grads(actor, obs, actions, lp_old, advantages, 0.2)
+        _, critic_grads = critic_loss_and_grads(critic, obs, returns)
+        kept = actor_grads.vector.copy(), critic_grads.vector.copy()
+        actor_loss_and_grads(actor, obs, actions[::-1], lp_old, -advantages, 0.2)
+        critic_loss_and_grads(critic, obs, -returns)
+        np.testing.assert_array_equal(actor_grads.vector, kept[0])
+        np.testing.assert_array_equal(critic_grads.vector, kept[1])
+        for grads in (actor_grads, critic_grads):
+            for name, grad in grads.items():
+                assert np.shares_memory(grad, grads.vector), name
+
+
 class TestRewardMonitor:
     def test_nan_aborts(self):
         monitor = RewardMonitor()
@@ -260,6 +337,33 @@ class TestTrainingLoop:
         b = greedy_rollout(env, result.actors)
         assert [r.cost_total for r in a] == [r.cost_total for r in b]
         assert len(a) == 24
+
+
+def assert_params_view_the_vector(networks):
+    for net in networks:
+        vector = net.net.vector
+        params = net.params()
+        assert sum(p.size for p in params.values()) == vector.size
+        for name, arr in params.items():
+            assert np.shares_memory(arr, vector), name
+        if isinstance(net, GaussianActor):
+            assert np.shares_memory(net.log_std, vector)
+            np.testing.assert_array_equal(vector[-8:], net.log_std)
+
+
+class TestFlatParameters:
+    def test_views_after_construction_training_and_loading(self, tmp_path):
+        env = small_env(mode="independent")
+        rng = np.random.default_rng(0)
+        assert_params_view_the_vector([GaussianActor(4, 8, rng=rng), Critic(4, rng=rng), GaussianActor(4, 8)])
+        result = train_independent(env, TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=8, seed=5))
+        assert_params_view_the_vector(result.actors + result.critics)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, result, "h1", "h2")
+        ckpt = load_checkpoint(path)
+        assert_params_view_the_vector(ckpt.actors + ckpt.critics)
+        for loaded, trained in zip(ckpt.actors + ckpt.critics, result.actors + result.critics):
+            np.testing.assert_array_equal(loaded.net.vector, trained.net.vector)
 
 
 class TestCheckpointRoundTrip:

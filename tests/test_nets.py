@@ -1,9 +1,11 @@
 """Network forward/backward checks, including finite-difference gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from iesdispatch.nets import Adam, Mlp, clip_grads_, global_grad_norm, orthogonal_init
+from iesdispatch.nets import Adam, Mlp, clip_grads_, orthogonal_init
 
 
 def finite_difference(loss_fn, params: dict, h: float = 1e-6) -> dict:
@@ -118,38 +120,123 @@ class TestOrthogonalInit:
         np.testing.assert_allclose(w.T @ w, np.eye(4), atol=1e-10)
 
 
+class TestFlatParameters:
+    def test_params_tile_the_vector_in_order(self):
+        net = Mlp(4, 3, hidden=6, rng=np.random.default_rng(0), tail={"extra": (2, 2)})
+        params = net.params()
+        assert list(params) == ["w1", "b1", "w2", "b2", "w3", "b3", "extra"]
+        assert params.vector is net.vector
+        np.testing.assert_array_equal(np.concatenate([p.ravel() for p in params.values()]), net.vector)
+        for name, arr in params.items():
+            assert np.shares_memory(arr, net.vector), name
+        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+            assert np.shares_memory(getattr(net, name), net.vector), name
+
+    def test_initial_weights_equal_separate_draws(self):
+        net = Mlp(4, 3, hidden=6, rng=np.random.default_rng(7), out_gain=0.5)
+        rng = np.random.default_rng(7)
+        np.testing.assert_array_equal(net.w1, orthogonal_init(4, 6, np.sqrt(2.0), rng))
+        np.testing.assert_array_equal(net.w2, orthogonal_init(6, 6, np.sqrt(2.0), rng))
+        np.testing.assert_array_equal(net.w3, orthogonal_init(6, 3, 0.5, rng))
+        assert not net.b1.any() and not net.b2.any() and not net.b3.any()
+
+    def test_backward_gradients_do_not_alias(self):
+        """A later backward on the same network leaves earlier gradients alone."""
+        rng = np.random.default_rng(1)
+        net = Mlp(4, 3, hidden=6, rng=rng)
+        _, cache = net.forward(rng.standard_normal((5, 4)))
+        first = net.backward(cache, rng.standard_normal((5, 3)))
+        kept = first.vector.copy()
+        second = net.backward(cache, rng.standard_normal((5, 3)))
+        np.testing.assert_array_equal(first.vector, kept)
+        assert not np.shares_memory(first.vector, second.vector)
+        assert not np.shares_memory(first.vector, net.vector)
+        for name, grad in first.items():
+            assert np.shares_memory(grad, first.vector), name
+
+
+def reference_adam(params, grads_per_step, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam one tensor at a time, each tensor with its own rate."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name, p in params.items():
+            g = grads[name]
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * g * g
+            p -= lrs[name] * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
 class TestAdam:
     def test_zero_lr_keeps_params(self):
         net = Mlp(2, 2, hidden=4, rng=np.random.default_rng(0))
-        before = {k: v.copy() for k, v in net.params().items()}
-        opt = Adam(net.params(), lr=0.0)
-        opt.step({k: np.ones_like(v) for k, v in net.params().items()})
-        for k, v in net.params().items():
-            np.testing.assert_array_equal(v, before[k])
+        before = net.vector.copy()
+        opt = Adam(net.vector, lr=0.0)
+        opt.step(np.ones_like(net.vector))
+        np.testing.assert_array_equal(net.vector, before)
 
     def test_minimizes_quadratic(self):
-        x = {"x": np.array([5.0, -3.0])}
+        x = np.array([5.0, -3.0])
         opt = Adam(x, lr=0.05)
         for _ in range(2000):
-            opt.step({"x": 2.0 * x["x"]})
-        np.testing.assert_allclose(x["x"], 0.0, atol=1e-4)
+            opt.step(2.0 * x)
+        np.testing.assert_allclose(x, 0.0, atol=1e-4)
 
-    def test_lr_override_changes_one_group(self):
-        params = {"a": np.array([1.0]), "b": np.array([1.0])}
-        opt = Adam(params, lr=0.1, lr_overrides={"b": 0.0})
-        opt.step({"a": np.array([1.0]), "b": np.array([1.0])})
-        assert params["a"][0] != 1.0
-        assert params["b"][0] == 1.0
+    def test_per_entry_rate_with_a_zero(self):
+        x = np.array([1.0, 1.0, 1.0])
+        opt = Adam(x, lr=np.array([0.1, 0.0, 0.2]))
+        opt.step(np.ones(3))
+        assert x[0] != 1.0
+        assert x[1] == 1.0
+        assert x[2] != 1.0 and x[2] != x[0]
+
+    def test_equals_the_per_tensor_step_bit_for_bit(self):
+        """100 steps on an actor-sized vector, its last 8 entries at 8x the
+        rate, against Adam written one tensor at a time."""
+        rng = np.random.default_rng(3)
+        net = Mlp(4, 8, hidden=16, rng=rng, tail={"log_std": (8,)})
+        reference = {k: v.copy() for k, v in net.params().items()}
+        lr = np.full(net.vector.size, 3e-4)
+        lr[-8:] = 8.0 * 3e-4
+        lrs = {k: (8.0 if k == "log_std" else 1.0) * 3e-4 for k in reference}
+        steps = [{k: rng.standard_normal(v.shape) * 10.0 ** rng.uniform(-6, 1) for k, v in reference.items()}
+                 for _ in range(100)]
+        opt = Adam(net.vector, lr)
+        for grads in steps:
+            opt.step(np.concatenate([g.ravel() for g in grads.values()]))
+        reference_adam(reference, steps, lrs)
+        for name, value in net.params().items():
+            assert np.array_equal(value, reference[name]), name
+
+    def test_step_allocates_no_parameter_sized_array(self):
+        x = np.zeros(50_000)
+        opt = Adam(x, lr=1e-3)
+        grad = np.ones_like(x)
+        opt.step(grad)
+        tracemalloc.start()
+        opt.step(grad)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < x.nbytes // 10
 
 
 class TestGradClip:
     def test_norm_reduced(self):
-        grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
-        norm = clip_grads_(grads, 0.5)
-        assert norm > 0.5
-        assert global_grad_norm(grads) == pytest.approx(0.5, rel=1e-9)
+        grad = np.concatenate([np.full(4, 3.0), np.full(9, 4.0)])
+        norm = clip_grads_(grad, 0.5)
+        assert norm == pytest.approx(np.sqrt(4 * 9.0 + 9 * 16.0), rel=1e-12)
+        assert np.linalg.norm(grad) == pytest.approx(0.5, rel=1e-9)
 
     def test_small_grads_untouched(self):
-        grads = {"a": np.array([0.1, 0.1])}
-        clip_grads_(grads, 0.5)
-        np.testing.assert_array_equal(grads["a"], [0.1, 0.1])
+        grad = np.array([0.1, 0.1])
+        assert clip_grads_(grad, 0.5) == pytest.approx(np.sqrt(0.02), rel=1e-12)
+        np.testing.assert_array_equal(grad, [0.1, 0.1])
+
+    def test_zero_gradient(self):
+        grad = np.zeros(3)
+        assert clip_grads_(grad, 0.0) == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
