@@ -35,7 +35,7 @@ from .env import (
     evaluate_day,
     observation_dim,
 )
-from .nets import HIDDEN_UNITS, Adam, Mlp, clip_grads_
+from .nets import HIDDEN_UNITS, Adam, Mlp, Params, clip_grads_
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -418,8 +418,8 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
         critics = [Critic(obs_dim, rng) for _ in range(N_AGENTS)]
     else:
         critics = [Critic(STATE_DIM, rng)]
-    actor_lr = np.full(actors[0].net.vector.size, cfg.actor_lr)
-    actor_lr[-ACTION_DIM:] = LOG_STD_LR_MULT * cfg.actor_lr
+    actor_lr = np.full_like(actors[0].net.vector, cfg.actor_lr)
+    Params(actor_lr, actors[0].net.shapes)["log_std"][...] = LOG_STD_LR_MULT * cfg.actor_lr
     actor_opts = [Adam(actor.net.vector, actor_lr) for actor in actors]
     critic_opts = [Adam(critic.net.vector, cfg.critic_lr) for critic in critics]
 

@@ -150,8 +150,10 @@ class Adam:
 
 
 def clip_grads_(grad: np.ndarray, max_norm: float) -> float:
-    """Scale the gradient vector in place if its norm exceeds the cap."""
-    norm = math.sqrt(grad @ grad)
+    """Scale the gradient vector in place if its norm exceeds the cap.  The
+    norm sums in numpy's own loop: a BLAS dot product splits long vectors
+    across threads, so its rounding would follow the thread count."""
+    norm = math.sqrt(np.einsum("i,i->", grad, grad))
     if norm > max_norm and norm > 0.0:
         grad *= max_norm / norm
     return norm

@@ -3,7 +3,11 @@
 import builtins
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,28 @@ class TestTrainEvaluate:
             assert main([
                 "train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out), "--seed", "3",
             ]) == 0
+            outs.append(out)
+        for fname in ("checkpoint.json", "training_log.csv", "reward_curve.csv"):
+            assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    @pytest.mark.parametrize("mode", ["coordinated", "independent"])
+    def test_train_bytes_do_not_depend_on_blas_threads(self, workspace, mode):
+        # The gradient vectors exceed the length above which a BLAS dot
+        # product splits its sum across threads.
+        tmp, cfg, scenario = workspace
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp / f"threads{threads}"
+            env_vars = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+            }
+            subprocess.run(
+                [sys.executable, "-m", "iesdispatch.cli", "train", "--config", str(cfg), "--scenario",
+                 str(scenario), "--out", str(out), "--mode", mode, "--seed", "3"],
+                env=env_vars, check=True, capture_output=True,
+            )
             outs.append(out)
         for fname in ("checkpoint.json", "training_log.csv", "reward_curve.csv"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
