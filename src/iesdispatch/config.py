@@ -110,7 +110,7 @@ def _check_leaf(default: Any, value: Any, path: str) -> None:
         allowed = (type(default),)
     if type(value) not in allowed:
         names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
-        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__}")
+        raise ConfigError(f"{path}: expected {names}, got {type(value).__name__} {value!r}")
 
 
 def _merge(default: Any, layers: list, path: str) -> Any:
@@ -159,7 +159,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if path is not None:
         with Path(path).open("r", encoding="utf-8") as fh:
             try:
-                user_tree = yaml.safe_load(fh)
+                # libyaml's parser under PyYAML's resolver and constructor: the
+                # same trees as ``safe_load``, parsed in C when the wheel has it.
+                user_tree = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
             except yaml.YAMLError as exc:
                 raise ConfigError(f"{path}: not valid YAML: {exc}") from None
         if user_tree is None:

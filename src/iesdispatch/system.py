@@ -583,7 +583,11 @@ def _lexicographic_simplex(prog: _Programs) -> np.ndarray:
     basis = np.where(res >= 0.0, prog.short, prog.over)
     tab = a * sign[:, :, None]
     beta = np.abs(res)
-    z = prog.objectives - np.sum(prog.objectives[:, basis].transpose(1, 0, 2)[..., None] * tab[:, None], axis=2)
+    cb = prog.objectives[:, basis].transpose(1, 0, 2)  # (K, 4, m)
+    z = cb[:, :, 0, None] * tab[:, None, 0]
+    for i in range(1, m):  # one row at a time, in order: no (K, 4, m, n) product
+        z += cb[:, :, i, None] * tab[:, None, i]
+    z = prog.objectives - z
     ks = np.arange(k_all)
     basic = np.zeros((k_all, n), dtype=bool)
     basic[ks[:, None], basis] = True
@@ -646,14 +650,15 @@ def _pivot(act, j, tab, beta, z, basis, basic, upper, lo, hi) -> None:
     basis[act, r] = j
     beta[act, r] = entering[piv]
 
-    block = tab[act]
+    # A pivot of every tableau updates them in place; a partial batch
+    # gathers its tableaus and scatters them back.
+    block, zb = (tab, z) if act.size == len(tab) else (tab[act], z[act])
     pivot_row = block[k, r] / col[piv, r][:, None]
     block -= col[piv][:, :, None] * pivot_row[:, None, :]
     block[k, r] = pivot_row
-    tab[act] = block
-    zb = z[act]
     zb -= zb[k, :, j][:, :, None] * pivot_row[:, None, :]
-    z[act] = zb
+    if block is not tab:
+        tab[act], z[act] = block, zb
 
 
 def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig, dt: float) -> np.ndarray:

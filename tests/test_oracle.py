@@ -27,6 +27,8 @@ from iesdispatch.system import (
     P_EXCH,
     BalanceOptions,
     CommunityLoads,
+    _lexicographic_simplex,
+    _programs,
     default_system_config,
     left_sum,
     oracle_day,
@@ -105,6 +107,23 @@ class TestHandDerivedOptima:
             assert step.feasible == (step.penalty <= FEASIBLE_TOL)
             used = (settled.wind - settled.balance.curtailed)[t].tolist()
             assert [d.wind_used for d in step.decisions] == used
+
+
+@pytest.mark.parametrize("options", OPTION_SETS, ids=str)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6))
+@settings(max_examples=10, deadline=None)
+def test_each_program_solves_as_it_would_alone(options, seed, steps):
+    """The batch changes no tableau's arithmetic: a pivot of the whole batch
+    runs in place and one of part of it on a gathered copy, and each
+    program's vertex equals its solve as a batch of one (always in place)."""
+    rng = np.random.default_rng(seed)
+    scale = np.array([9000.0, 6000.0, 700.0, 4000.0])  # electric, heat, water, wind
+    p_load, h_load, w_load, wind = rng.uniform(0.0, 1.0, (4, steps, 3)) * scale[:, None, None]
+    prog = _programs(p_load, h_load, w_load, wind, dataclasses.replace(SYS, options=options), 1.0)
+    x = _lexicographic_simplex(prog)
+    for k in range(len(x)):
+        one = prog._replace(b=prog.b[k : k + 1], lo=prog.lo[k : k + 1], hi=prog.hi[k : k + 1])
+        assert (_lexicographic_simplex(one)[0] == x[k]).all(), k
 
 
 @pytest.mark.parametrize("options", OPTION_SETS, ids=str)
