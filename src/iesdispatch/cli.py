@@ -278,8 +278,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.grid_n < 3:
-        raise ValueError(f"--grid-n must be at least 3, got {args.grid_n}")
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
     out = _out_dir(args)
@@ -288,7 +286,7 @@ def cmd_oracle(args) -> int:
     day = settle_day(scenario, slice(None), setpoints, cfg.system, cfg.reward, dt)
     write_schedule_csv(out / "oracle_schedule.csv", day, cfg.system, dt)
     infeasible = np.flatnonzero(sum_last(day.balance.penalty) > FEASIBLE_TOL).tolist()
-    ids = {"grid_n": args.grid_n, "infeasible_steps": infeasible, "scenario_hash": scenario_hash(scenario)}
+    ids = {"infeasible_steps": infeasible, "scenario_hash": scenario_hash(scenario)}
     write_json(out / "oracle_summary.json", {**summarize(day, dt), **ids})
     print(f"oracle dispatch -> {out}")
     return 0
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--episodes", type=int, default=None, help="override training episodes")
     p_train.set_defaults(func=cmd_train)
 
-    p_eval = sub.add_parser("evaluate", help="greedy-rollout a checkpoint and export the schedule")
+    p_eval = sub.add_parser("evaluate", help="run a checkpoint's policy means over the day and export the schedule")
     add_common(p_eval)
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--out", required=True, help="output directory")
@@ -334,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_orc = sub.add_parser("oracle", help="exact optimal dispatch of each step of the scenario")
     add_common(p_orc)
-    p_orc.add_argument(
-        "--grid-n", type=int, default=21,
-        help="accepted for compatibility and ignored by the exact solver; must be at least 3",
-    )
     p_orc.add_argument("--out", required=True, help="output directory")
     p_orc.set_defaults(func=cmd_oracle)
 

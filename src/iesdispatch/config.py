@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Any
@@ -101,7 +102,7 @@ def default_config_tree() -> dict:
 
 def _check_leaf(default: Any, value: Any, path: str) -> None:
     """A leaf takes its default's type; a float also takes an int, and a
-    null default (a path) takes a string."""
+    null default (a path) takes a string.  A float must be finite."""
     if default is None:
         allowed: tuple[type, ...] = (str, type(None))
     elif type(default) is float:
@@ -111,6 +112,8 @@ def _check_leaf(default: Any, value: Any, path: str) -> None:
     if type(value) not in allowed:
         names = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
         raise ConfigError(f"{path}: expected {names}, got {type(value).__name__} {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def _merge(default: Any, layers: list, path: str) -> Any:

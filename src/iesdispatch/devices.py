@@ -1,10 +1,12 @@
-"""Output and fuel-cost models for the four controllable units of a community.
+"""Parameters and fuel cost of the four controllable units of a community.
 
 Each community runs a back-pressure CHP unit with a variable heat-to-power
 ratio, a water-electricity cogeneration unit (a thermal generator whose
 output also drives a reverse-osmosis desalination train), a gas turbine and
-a gas boiler.  Everything here is a pure function over an immutable
-parameter record, safe to call concurrently.
+a gas boiler.  Their dispatch physics (limits, pumping demand, CHP heat)
+is written once, as the array kernels of ``system``; here are the
+immutable parameter records, the membrane analysis functions and the gas
+cost, all pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -13,10 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class LimitViolation(ValueError):
-    """An operating point lies outside a device's permitted range."""
 
 
 @dataclass(frozen=True)
@@ -132,42 +130,6 @@ def ro_specific_energy(params: RoCogenParams, recovery: float) -> float:
         * (1.0 / recovery)
         * math.log(1.0 / (1.0 - recovery))
     )
-
-
-def ro_power_demand(params: RoCogenParams, w_rate: float, dt: float = 1.0) -> float:
-    """Pumping power (kW) to produce fresh water at ``w_rate`` m3/h."""
-    if w_rate < 0.0:
-        raise ValueError(f"water production rate must be nonnegative, got {w_rate}")
-    limit = params.w_max / dt
-    if w_rate > limit:
-        raise LimitViolation(f"w_rate {w_rate} exceeds maximum {limit} m3/h")
-    return params.kwh_per_m3 * w_rate
-
-
-def cogen_net_power(params: RoCogenParams, p_gross: float, w_rate: float, dt: float = 1.0) -> float:
-    """Electric power (kW) the cogeneration unit exports after desalination.
-
-    ``p_gross`` is the thermal unit's gross output and must respect its
-    limits; the exported power is gross minus the pumping demand.
-    """
-    if p_gross < params.p_tp_min:
-        raise LimitViolation(f"gross power {p_gross} below minimum {params.p_tp_min} kW")
-    if p_gross > params.p_tp_max:
-        raise LimitViolation(f"gross power {p_gross} above maximum {params.p_tp_max} kW")
-    return p_gross - ro_power_demand(params, w_rate, dt)
-
-
-def chp_heat_output(params: ChpParams, p: float, b: float) -> float:
-    """Heat output (kW) of the CHP unit at electric output p and ratio b."""
-    if p < params.p_min:
-        raise LimitViolation(f"electric output {p} below minimum {params.p_min} kW")
-    if p > params.p_max:
-        raise LimitViolation(f"electric output {p} above maximum {params.p_max} kW")
-    if b < params.b_min:
-        raise LimitViolation(f"heat-to-power ratio {b} below minimum {params.b_min}")
-    if b > params.b_max:
-        raise LimitViolation(f"heat-to-power ratio {b} above maximum {params.b_max}")
-    return b * p
 
 
 def gas_cost(output_kw, eta, price: FuelPrice):

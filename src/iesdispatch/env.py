@@ -1,15 +1,15 @@
-"""Sequential decision environment over a 24-step dispatch day.
+"""The dispatch day as a decision problem, evaluated a whole day at a time.
 
 States are the normalized loads and available wind of all three
 communities; each community is an agent holding an 8-entry action in
-[-1, 1] that maps affinely onto its physical setpoints.  One step decodes
-the joint action, projects the exchanges, evaluates balances and fuel
-cost, and returns a shared scalar reward.  No action changes the loads or
-the wind, so a whole day of joint actions can also be evaluated at once:
-``evaluate_day`` and ``evaluate_step`` run the same array kernels of
-``system`` over 24 steps or over one.  The environment is a value
-machine: independent instances can run in parallel, a single instance is
-not shared between concurrent callers.
+[-1, 1] that maps affinely onto its physical setpoints.  No action
+changes the loads or the wind, so an episode is 24 known contexts and
+needs no stateful step loop: ``evaluate_day`` decodes a day of joint
+actions, projects the exchanges, evaluates balances and fuel cost and
+returns the rewards of every step at once, through the array kernels of
+``system``; ``settle_day`` does the same for setpoints already in their
+boxes.  Everything here is a pure function or an immutable value, safe
+to share between concurrent callers.
 
 Action layout per agent (all in [-1, 1]):
   0 CHP electric output      4 gas-turbine output
@@ -24,7 +24,6 @@ controlled through its gross output so its limit stays a plain box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -32,17 +31,12 @@ from .scenario import N_STEPS, ScenarioData
 from .system import (
     H_EXCH,
     P_EXCH,
-    BalanceResult,
-    CommunityConfig,
-    DispatchDecision,
-    ExchangeLimits,
     Settlement,
     SystemConfig,
     affine_setpoints,
     clip_box,
     fuel_cost,
     left_sum,
-    power_balance,  # noqa: F401  (still importable from here, as the benchmark's tracer test reads it)
     project_rows,
     setpoint_box,
     settle,
@@ -99,24 +93,9 @@ def encode_day(scenario: ScenarioData, scales: np.ndarray) -> np.ndarray:
     return (raw / scales[:, None, :]).transpose(1, 0, 2).reshape(EPISODE_STEPS, STATE_DIM)
 
 
-def encode_state(scenario: ScenarioData, t: int, scales: np.ndarray) -> np.ndarray:
-    """Normalized 12-vector (p1, h1, w1, wind1, p2, ..., wind3) at step t."""
-    if not 0 <= t < EPISODE_STEPS:
-        raise ValueError(f"step must be in [0, {EPISODE_STEPS}), got {t}")
-    return encode_day(scenario, scales)[t]
-
-
-def agent_observation(state: np.ndarray, agent: int, observation: str = "own") -> np.ndarray:
-    """What one actor sees: its own 4-entry block, or the full state."""
-    if observation == "full":
-        return np.asarray(state, dtype=float)
-    if observation != "own":
-        raise ValueError(f"observation must be one of {OBSERVATION_MODES}, got {observation!r}")
-    return np.asarray(state, dtype=float)[4 * agent : 4 * agent + 4]
-
-
 def day_observations(states: np.ndarray, observation: str = "own") -> np.ndarray:
-    """What each actor sees at every step, (3, 24, observation_dim)."""
+    """What each actor sees at every step, (3, 24, observation_dim): its
+    own 4-entry block of the state, or the full state."""
     if observation == "full":
         return np.stack([states] * N_AGENTS)
     if observation != "own":
@@ -128,72 +107,8 @@ def observation_dim(observation: str) -> int:
     return STATE_DIM if observation == "full" else 4
 
 
-def _action(action: Sequence[float]) -> np.ndarray:
-    a = np.asarray(action, dtype=float)
-    if a.shape != (ACTION_DIM,):
-        raise ValueError(f"action must have {ACTION_DIM} entries, got shape {a.shape}")
-    return a
-
-
-def action_to_setpoints(
-    action: Sequence[float],
-    cfg: CommunityConfig,
-    limits: ExchangeLimits,
-    dt: float = 1.0,
-) -> DispatchDecision:
-    """Affine map from a clamped [-1, 1] action onto physical setpoints.
-
-    The map is a bijection between the action box and the setpoint boxes;
-    endpoint actions land exactly on the device limits.
-    """
-    lo, hi = setpoint_box(cfg.fleet, limits, dt)
-    return DispatchDecision(*affine_setpoints(_action(action), lo, hi)[0].tolist())
-
-
-def decode_action(
-    action: Sequence[float],
-    cfg: CommunityConfig,
-    limits: ExchangeLimits,
-    dt: float = 1.0,
-) -> DispatchDecision:
-    """Affine decode followed by clipping into the feasible boxes."""
-    lo, hi = setpoint_box(cfg.fleet, limits, dt)
-    x = clip_box(affine_setpoints(_action(action), lo, hi), lo, hi, cfg.fleet.q)
-    return DispatchDecision(*x[0].tolist())
-
-
 def _reward(cost, penalty, params: RewardParams):
     return params.u - (cost + params.kappa * penalty) / params.z
-
-
-def step_reward(cost: float, penalties: Sequence[float], params: RewardParams) -> float:
-    """Shared team reward for one step; bounded above by ``params.u``."""
-    return _reward(cost, float(left_sum(penalties)), params)
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Everything observable about one evaluated step."""
-
-    t: int
-    decisions: tuple[DispatchDecision, ...]
-    balances: tuple[BalanceResult, ...]
-    costs: tuple[float, ...]
-    wind_avail: tuple[float, ...]
-    reward: float
-    done: bool
-
-    @property
-    def cost_total(self) -> float:
-        return left_sum(self.costs)
-
-    @property
-    def penalty_total(self) -> float:
-        return left_sum(b.penalty for b in self.balances)
-
-    @property
-    def curtailed_total(self) -> float:
-        return left_sum(b.curtailed for b in self.balances)
 
 
 @dataclass(frozen=True)
@@ -213,29 +128,10 @@ class DayEvaluation:
     team_reward: np.ndarray
     agent_reward: np.ndarray
 
-    def records(self, first_step: int = 0) -> list[StepRecord]:
-        """One ``StepRecord`` per step, numbered from ``first_step``; each
-        decision's ``wind_used`` is its available wind less the curtailment."""
-        setpoints, wind, cost, reward = (a.tolist() for a in (self.setpoints, self.wind, self.cost, self.team_reward))
-        wind_used = (self.wind - self.balance.curtailed).tolist()
-        balances = np.stack(self.balance, axis=-1).tolist()
-        return [
-            StepRecord(
-                t=first_step + k,
-                decisions=tuple(DispatchDecision(*x, wind_used=used) for x, used in zip(setpoints[k], wind_used[k])),
-                balances=tuple(BalanceResult(*b) for b in balances[k]),
-                costs=tuple(cost[k]),
-                wind_avail=tuple(wind[k]),
-                reward=reward[k],
-                done=first_step + k == EPISODE_STEPS - 1,
-            )
-            for k in range(len(setpoints))
-        ]
-
 
 def day_total(x: np.ndarray) -> float:
-    """Total of a (24, 3) array, added as the ``StepRecord`` totals of
-    the steps would be: each step's communities, then the steps, left to right."""
+    """Total of a (24, 3) array: each step's communities, then the steps,
+    left to right."""
     return float(left_sum(sum_last(x).tolist()))
 
 
@@ -280,23 +176,6 @@ def settle_day(
     )
 
 
-def evaluate_step(
-    scenario: ScenarioData,
-    t: int,
-    actions: np.ndarray,
-    system_cfg: SystemConfig,
-    reward_params: RewardParams,
-    mode: str = "coordinated",
-    dt: float = 1.0,
-) -> StepRecord:
-    """Decode, project, balance and price one joint action. Deterministic."""
-    actions = np.asarray(actions, dtype=float)
-    if actions.shape != (N_AGENTS, ACTION_DIM):
-        raise ValueError(f"actions must have shape {(N_AGENTS, ACTION_DIM)}, got {actions.shape}")
-    setpoints = decode_joint(actions[None], system_cfg, mode, dt)
-    return settle_day(scenario, [t], setpoints, system_cfg, reward_params, dt).records(t)[0]
-
-
 def evaluate_day(
     scenario: ScenarioData,
     actions: np.ndarray,
@@ -305,7 +184,8 @@ def evaluate_day(
     mode: str = "coordinated",
     dt: float = 1.0,
 ) -> DayEvaluation:
-    """``evaluate_step`` for all 24 steps at once, from actions of shape (24, 3, 8)."""
+    """Decode, project, balance, price and reward a day of joint actions
+    (24, 3, 8), all steps at once. Deterministic."""
     actions = np.asarray(actions, dtype=float)
     if actions.shape != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
         raise ValueError(f"actions must have shape {(EPISODE_STEPS, N_AGENTS, ACTION_DIM)}, got {actions.shape}")
@@ -317,8 +197,8 @@ class DispatchEnv:
     """One day's scenario and settings, with its states encoded once.
 
     ``states`` (24, 12) and ``observations`` (3, 24, observation_dim) are
-    fixed by the scenario, since no action changes the loads or the wind;
-    ``reset``/``step`` drive one 24-step episode at a time over them.
+    fixed by the scenario, since no action changes the loads or the wind,
+    and are read-only; nothing here changes after construction.
     """
 
     def __init__(
@@ -346,25 +226,3 @@ class DispatchEnv:
         self.observations = day_observations(self.states, observation)
         self.states.setflags(write=False)
         self.observations.setflags(write=False)
-        self._t = 0
-
-    @property
-    def t(self) -> int:
-        return self._t
-
-    def reset(self) -> np.ndarray:
-        self._t = 0
-        return self.states[0].copy()
-
-    def step(self, actions: np.ndarray) -> tuple[np.ndarray, float, bool, StepRecord]:
-        if self._t >= EPISODE_STEPS:
-            raise RuntimeError("episode finished; call reset() first")
-        record = evaluate_step(
-            self.scenario, self._t, actions, self.system_cfg, self.reward_params, self.mode, self.dt
-        )
-        self._t += 1
-        if record.done:
-            next_state = np.zeros(STATE_DIM)
-        else:
-            next_state = self.states[self._t].copy()
-        return next_state, record.reward, record.done, record

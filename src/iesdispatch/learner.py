@@ -30,7 +30,6 @@ from .env import (
     DayEvaluation,
     DispatchEnv,
     RewardParams,
-    StepRecord,
     day_total,
     evaluate_day,
     observation_dim,
@@ -81,6 +80,8 @@ class TrainConfig:
             raise ValueError(f"discount must be in [0, 1], got {self.discount}")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError(f"gae_lambda must be in [0, 1], got {self.gae_lambda}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def gaussian_log_prob(mean: np.ndarray, log_std: np.ndarray, action: np.ndarray) -> np.ndarray:
@@ -179,9 +180,6 @@ class GaussianActor:
 
     def clamped_log_std(self) -> np.ndarray:
         return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
-
-    def mean_action(self, obs: np.ndarray) -> np.ndarray:
-        return self.net.forward(obs)[0][0]
 
     def log_probs(self, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         mean, _ = self.net.forward(obs)
@@ -470,11 +468,6 @@ def greedy_day(env: DispatchEnv, actors: Sequence[GaussianActor]) -> DayEvaluati
     return evaluate_day(env.scenario, _policy_means(env, actors), env.system_cfg, env.reward_params, env.mode, env.dt)
 
 
-def greedy_rollout(env: DispatchEnv, actors: Sequence[GaussianActor]) -> list[StepRecord]:
-    """``greedy_day`` as per-step records."""
-    return greedy_day(env, actors).records()
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -539,9 +532,12 @@ def _checked_array(who: str, value, shape: tuple) -> np.ndarray:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint, checking its keys and network shapes against
     its mode and observation before any of it is used."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
     where = f"checkpoint {path}"
+    with Path(path).open("r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{where}: not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"{where}: top level must be an object")
     version = payload.get("format_version")

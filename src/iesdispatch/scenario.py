@@ -169,6 +169,8 @@ class ScenarioSpec:
             raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
         if self.noise_std < 0.0:
             raise ValueError(f"noise_std must be nonnegative, got {self.noise_std}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _blocks(segments: list[tuple[int, int, float]]) -> np.ndarray:

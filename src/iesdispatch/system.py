@@ -1,6 +1,7 @@
 """Three-community aggregation layer.
 
-Combines the per-device models into community-level dispatch: clipping raw
+Combines the per-device models into community-level dispatch, as numpy
+kernels over one step or a whole day of steps: clipping raw
 setpoints into their feasible boxes, projecting the inter-community
 exchanges onto the conservation constraint, computing balance residuals and
 wind curtailment, pricing a joint dispatch, and an exact linear-programming
@@ -110,62 +111,6 @@ def default_system_config() -> SystemConfig:
     return SystemConfig(communities=tuple(CommunityConfig(id=i) for i in (1, 2, 3)))
 
 
-@dataclass(frozen=True)
-class CommunityLoads:
-    """One community's demand at one step."""
-
-    p_load: float  # kW
-    h_load: float  # kW
-    w_load: float  # m3/h
-
-
-@dataclass(frozen=True)
-class DispatchDecision:
-    """All controllable setpoints of one community for one step.
-
-    ``p_tp`` is the gross output of the cogeneration thermal unit; its net
-    export is p_tp minus the desalination pumping demand.  Exchanges are
-    signed with imports positive.  ``wind_used`` is informational and set
-    once the balance has determined curtailment.
-    """
-
-    p_chp: float
-    b_chp: float
-    p_tp: float
-    w_rate: float
-    p_gt: float
-    h_gb: float
-    p_exch: float = 0.0
-    h_exch: float = 0.0
-    wind_used: float = 0.0
-
-    @property
-    def h_chp(self) -> float:
-        return self.b_chp * self.p_chp
-
-
-@dataclass(frozen=True)
-class BalanceResult:
-    """Absolute balance residuals of one community after curtailment."""
-
-    d_elec: float   # kW
-    d_heat: float   # kW
-    d_water: float  # m3/h
-    curtailed: float  # kW of available wind deliberately unused
-    penalty: float  # kW-equivalent: d_elec + d_heat + kwh_per_m3 * d_water
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    per_community: tuple[float, float, float]
-    total: float
-
-    @classmethod
-    def from_parts(cls, parts: Sequence[float]) -> "CostBreakdown":
-        parts = tuple(float(p) for p in parts)
-        return cls(per_community=parts, total=left_sum(parts))
-
-
 def left_sum(values: Iterable[float]) -> float:
     """Add strictly left to right, starting from 0.0.
 
@@ -203,8 +148,7 @@ def water_rate_cap(p_tp, kwh_per_m3, w_cap):
 # Setpoints are arrays (..., n, 8) over the steps and n communities, the
 # last axis in ``SETPOINTS`` order, which is also an action's; loads, wind
 # and results are (..., n).  A day and a single step go through the same
-# elementwise operations, so they agree bit for bit.  The scalar functions
-# below are adapters over these kernels.
+# elementwise operations, so they agree bit for bit.
 
 SETPOINTS = ("p_chp", "b_chp", "p_tp", "w_rate", "p_gt", "h_gb", "p_exch", "h_exch")
 P_CHP, B_CHP, P_TP, W_RATE, P_GT, H_GB, P_EXCH, H_EXCH = range(len(SETPOINTS))
@@ -301,8 +245,9 @@ def project_rows(v: np.ndarray, bound) -> np.ndarray:
 
 
 class Settlement(NamedTuple):
-    """Balance residuals after free wind curtailment, as ``BalanceResult``
-    holds them, each an array (..., n)."""
+    """Absolute balance residuals after free wind curtailment, each an
+    array (..., n): kW, kW, m3/h, the kW of available wind left unused, and
+    the kW-equivalent penalty d_elec + d_heat + kwh_per_m3 * d_water."""
 
     d_elec: np.ndarray
     d_heat: np.ndarray
@@ -342,72 +287,6 @@ def fuel_cost(x, fleet: Fleet, price: FuelPrice) -> np.ndarray:
     pump = fleet.q * w_rate
     outputs = np.stack([p_chp, b_chp * p_chp, p_tp - pump, pump, p_gt, h_gb], axis=-1)
     return sum_last(gas_cost(outputs, fleet.eta, price))
-
-
-def setpoint_rows(decisions: Sequence[DispatchDecision]) -> np.ndarray:
-    """(n, 8) setpoints of decisions, one row each."""
-    return np.array([[getattr(d, name) for name in SETPOINTS] for d in decisions], dtype=float)
-
-
-def clip_to_limits(
-    decision: DispatchDecision,
-    cfg: CommunityConfig,
-    limits: ExchangeLimits | None = None,
-    dt: float = 1.0,
-) -> DispatchDecision:
-    """Clamp every setpoint into its feasible box.
-
-    The water rate is clamped last and also against the gross cogeneration
-    output, so the unit never exports negative power: after clipping,
-    p_tp - kwh_per_m3 * w_rate >= 0 holds.
-    """
-    lo, hi = setpoint_box(cfg.fleet, limits, dt)
-    x = clip_box(setpoint_rows([decision]), lo, hi, cfg.fleet.q)
-    return DispatchDecision(*x[0].tolist(), wind_used=max(0.0, decision.wind_used))
-
-
-def project_exchanges(
-    p_exch: Sequence[float],
-    h_exch: Sequence[float],
-    p_max: float,
-    h_max: float,
-) -> tuple[tuple[float, float, float], tuple[float, float, float]]:
-    """Project raw exchange vectors onto the conservation constraints (see ``project_rows``)."""
-    v = np.array([p_exch, h_exch], dtype=float)
-    if v.shape != (2, N_COMMUNITIES):
-        raise ValueError(f"expected {N_COMMUNITIES} exchange values per carrier, got shape {v.shape[1:]}")
-    p, h = project_rows(v, [p_max, h_max]).tolist()
-    return tuple(p), tuple(h)
-
-
-def power_balance(
-    decision: DispatchDecision,
-    loads: CommunityLoads,
-    wind_avail: float,
-    cfg: CommunityConfig,
-    options: BalanceOptions = BalanceOptions(),
-    dt: float = 1.0,
-) -> BalanceResult:
-    """Balance residuals of one community, with free wind curtailment (see ``settle``)."""
-    s = settle(setpoint_rows([decision]), loads.p_load, loads.h_load, loads.w_load, wind_avail, cfg.fleet, options, dt)
-    return BalanceResult(*(float(v[0]) for v in s))
-
-
-def community_cost(decision: DispatchDecision, cfg: CommunityConfig, price: FuelPrice) -> float:
-    """Fuel cost of one community's dispatch; exchanged energy is unpriced."""
-    return float(fuel_cost(setpoint_rows([decision]), cfg.fleet, price)[0])
-
-
-def total_cost(
-    decisions: Sequence[DispatchDecision],
-    communities: Sequence[CommunityConfig],
-    price: FuelPrice,
-) -> CostBreakdown:
-    if len(decisions) != len(communities):
-        raise ValueError("one decision per community required")
-    return CostBreakdown.from_parts(
-        [community_cost(d, c, price) for d, c in zip(decisions, communities)]
-    )
 
 
 def assert_within_limits(
@@ -458,16 +337,6 @@ _EPS = 1e-9
 _SNAP = 1e-9
 # A step whose summed penalty (kW-eq) is at most this balances exactly.
 FEASIBLE_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class OracleStep:
-    """Best dispatch of one step, plus feasibility of exact balance."""
-
-    decisions: tuple[DispatchDecision, DispatchDecision, DispatchDecision]
-    cost: CostBreakdown
-    penalty: float
-    feasible: bool
 
 
 class _Programs(NamedTuple):
@@ -708,35 +577,3 @@ def _first_best(keys: np.ndarray) -> np.ndarray:
         key = np.where(mask, key, np.inf)
         mask &= key <= key.min(axis=1, keepdims=True) + _SNAP
     return mask.argmax(axis=1)
-
-
-def oracle_dispatch(
-    loads: Sequence[CommunityLoads],
-    wind_avail: Sequence[float],
-    system_cfg: SystemConfig,
-    grid_n: int = 21,
-    dt: float = 1.0,
-) -> OracleStep:
-    """Exact optimal dispatch of one step (``oracle_day`` of one step),
-    settled and priced; ``feasible`` is whether it balances within
-    ``FEASIBLE_TOL``.
-
-    ``grid_n`` is accepted for compatibility and ignored by the exact
-    solver; it must still be at least 3.
-    """
-    if grid_n < 3:
-        raise ValueError(f"grid_n must be at least 3, got {grid_n}")
-    if len(loads) != N_COMMUNITIES or len(wind_avail) != N_COMMUNITIES:
-        raise ValueError("loads and wind_avail must cover all three communities")
-    rows = [[d.p_load, d.h_load, d.w_load, w] for d, w in zip(loads, wind_avail)]
-    *step, wind = np.array([rows], dtype=float).transpose(2, 0, 1)  # each (1, 3)
-    x = oracle_day(*step, wind, system_cfg, dt)
-    settled = settle(x, *step, wind, system_cfg.fleet, system_cfg.options, dt)
-    penalty = float(sum_last(settled.penalty)[0])
-    used = (wind - settled.curtailed)[0].tolist()
-    return OracleStep(
-        decisions=tuple(DispatchDecision(*row, wind_used=u) for row, u in zip(x[0].tolist(), used)),
-        cost=CostBreakdown.from_parts(fuel_cost(x, system_cfg.fleet, system_cfg.price)[0]),
-        penalty=penalty,
-        feasible=penalty <= FEASIBLE_TOL,
-    )

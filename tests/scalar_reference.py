@@ -3,31 +3,99 @@
 This is the decode -> clip -> project -> balance -> price chain as it was
 written before the array kernels of ``iesdispatch.system`` replaced it,
 kept unchanged so that ``tests/test_day_path.py`` can hold every kernel
-result equal to it, bit for bit.  Nothing in the package imports it.
+result equal to it, bit for bit.  It holds its per-community and per-step
+values in record types of its own.  Nothing in the package imports it.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from iesdispatch.devices import FuelPrice, gas_cost
-from iesdispatch.env import ACTION_DIM, EPISODE_STEPS, MODES, N_AGENTS, RewardParams, StepRecord
+from iesdispatch.env import ACTION_DIM, EPISODE_STEPS, MODES, N_AGENTS, RewardParams
 from iesdispatch.scenario import ScenarioData
 from iesdispatch.system import (
     N_COMMUNITIES,
+    SETPOINTS,
     BalanceOptions,
-    BalanceResult,
     CommunityConfig,
-    CommunityLoads,
-    CostBreakdown,
-    DispatchDecision,
     ExchangeLimits,
     SystemConfig,
     left_sum,
     water_rate_cap,
 )
 from iesdispatch.thermal import deliverable_heat_power, pipeline_heat_loss, required_heat_supply
+
+
+@dataclass(frozen=True)
+class CommunityLoads:
+    """One community's demand at one step."""
+
+    p_load: float  # kW
+    h_load: float  # kW
+    w_load: float  # m3/h
+
+
+@dataclass(frozen=True)
+class DispatchDecision:
+    """All setpoints of one community for one step, in ``SETPOINTS`` order,
+    and the wind it used once the balance has set the curtailment."""
+
+    p_chp: float
+    b_chp: float
+    p_tp: float
+    w_rate: float
+    p_gt: float
+    h_gb: float
+    p_exch: float = 0.0
+    h_exch: float = 0.0
+    wind_used: float = 0.0
+
+    @property
+    def h_chp(self) -> float:
+        return self.b_chp * self.p_chp
+
+    def row(self) -> list[float]:
+        """The setpoints as a kernel's row of 8 holds them."""
+        return [getattr(self, name) for name in SETPOINTS]
+
+
+@dataclass(frozen=True)
+class BalanceResult:
+    """Absolute balance residuals of one community after curtailment, in
+    the order of ``system.Settlement``."""
+
+    d_elec: float
+    d_heat: float
+    d_water: float
+    curtailed: float
+    penalty: float
+
+
+@dataclass(frozen=True)
+class StepRecord:
+    """Everything observable about one evaluated step."""
+
+    t: int
+    decisions: tuple[DispatchDecision, ...]
+    balances: tuple[BalanceResult, ...]
+    costs: tuple[float, ...]
+    wind_avail: tuple[float, ...]
+    reward: float
+    done: bool
+
+    @property
+    def cost_total(self) -> float:
+        return left_sum(self.costs)
+
+    @property
+    def penalty_total(self) -> float:
+        return left_sum(b.penalty for b in self.balances)
+
+    @property
+    def curtailed_total(self) -> float:
+        return left_sum(b.curtailed for b in self.balances)
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -143,18 +211,6 @@ def community_cost(decision: DispatchDecision, cfg: CommunityConfig, price: Fuel
         + gas_cost(pump, cfg.ro.eta, price)
         + gas_cost(decision.p_gt, cfg.gt.eta, price)
         + gas_cost(decision.h_gb, cfg.gb.eta, price)
-    )
-
-
-def total_cost(
-    decisions: Sequence[DispatchDecision],
-    communities: Sequence[CommunityConfig],
-    price: FuelPrice,
-) -> CostBreakdown:
-    if len(decisions) != len(communities):
-        raise ValueError("one decision per community required")
-    return CostBreakdown.from_parts(
-        [community_cost(d, c, price) for d, c in zip(decisions, communities)]
     )
 
 

@@ -27,7 +27,9 @@ from iesdispatch.env import (
     N_AGENTS,
     DispatchEnv,
     RewardParams,
-    decode_action,
+    day_total,
+    decode_joint,
+    settle_day,
 )
 from iesdispatch.learner import (
     Critic,
@@ -36,7 +38,7 @@ from iesdispatch.learner import (
     actor_loss_and_grads,
     critic_loss_and_grads,
     gae_advantages,
-    greedy_rollout,
+    greedy_day,
     log_prob_loss_and_grads,
     prob_ratio,
     train_independent,
@@ -44,16 +46,22 @@ from iesdispatch.learner import (
 )
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
 from iesdispatch.system import (
-    CommunityLoads,
+    B_CHP,
+    H_EXCH,
+    H_GB,
+    P_CHP,
+    P_EXCH,
+    P_GT,
+    P_TP,
+    W_RATE,
     default_system_config,
-    oracle_dispatch,
-    project_exchanges,
+    oracle_day,
+    sum_last,
 )
 from iesdispatch.thermal import PipelineParams, pipeline_heat_loss, transported_heat
 
 SYS = default_system_config()
 REWARD = RewardParams(kappa=1.5)
-ORACLE_GRID = 21
 SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -76,12 +84,15 @@ def report(criterion: str, ok: bool, detail: str) -> None:
     assert ok, f"{criterion}: {detail}"
 
 
-def day_totals(records):
-    cost = sum(r.cost_total for r in records)
-    penalty = sum(r.penalty_total for r in records)
-    curtailed = sum(r.curtailed_total for r in records)
-    avail = sum(sum(r.wind_avail) for r in records)
-    return cost, penalty, curtailed, avail
+def day_totals(day):
+    """Cost, penalty, curtailment and available wind of an evaluated day."""
+    return tuple(day_total(x) for x in (day.cost, day.balance.penalty, day.balance.curtailed, day.wind))
+
+
+def oracle_of(scenario):
+    """The oracle's day of a scenario, settled."""
+    setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, SYS)
+    return settle_day(scenario, slice(None), setpoints, SYS, REWARD)
 
 
 @pytest.fixture(scope="session")
@@ -90,28 +101,15 @@ def scenario():
 
 
 @pytest.fixture(scope="session")
-def oracle_day(scenario):
-    steps = []
-    for t in range(24):
-        loads = [
-            CommunityLoads(
-                p_load=float(scenario.p_load[i, t]),
-                h_load=float(scenario.h_load[i, t]),
-                w_load=float(scenario.w_load[i, t]),
-            )
-            for i in range(3)
-        ]
-        wind = [float(scenario.p_wind[i, t]) for i in range(3)]
-        steps.append(oracle_dispatch(loads, wind, SYS, grid_n=ORACLE_GRID))
-    return steps
+def oracle(scenario):
+    return oracle_of(scenario)
 
 
 @pytest.fixture(scope="session")
 def coordinated_run(scenario):
     env = DispatchEnv(scenario, SYS, REWARD)
     result = train_mappo(env, desk_config(episodes=5000, seed=1))
-    records = greedy_rollout(env, result.actors)
-    return result, records
+    return result, greedy_day(env, result.actors)
 
 
 @pytest.fixture(scope="session")
@@ -120,12 +118,12 @@ def comparison_runs(scenario, coordinated_run):
     for seed in SEEDS[1:]:
         env = DispatchEnv(scenario, SYS, REWARD)
         result = train_mappo(env, desk_config(episodes=5000, seed=seed))
-        coordinated.append(day_totals(greedy_rollout(env, result.actors)))
+        coordinated.append(day_totals(greedy_day(env, result.actors)))
     independent = []
     for seed in SEEDS:
         env = DispatchEnv(scenario, SYS, REWARD, mode="independent")
         result = train_independent(env, desk_config(episodes=3500, seed=seed))
-        independent.append(day_totals(greedy_rollout(env, result.actors)))
+        independent.append(day_totals(greedy_day(env, result.actors)))
     return coordinated, independent
 
 
@@ -175,26 +173,22 @@ class TestCriterion2Constraints:
         n_joint = 33_334  # 100,002 raw per-community actions in total
         raw = rng.uniform(-1.6, 1.6, size=(n_joint, N_AGENTS, ACTION_DIM))
         limits = SYS.limits
-        worst_sum = 0.0
-        for joint in raw:
-            decisions = [decode_action(joint[i], SYS.communities[i], limits) for i in range(N_AGENTS)]
-            p_exch, h_exch = project_exchanges(
-                [d.p_exch for d in decisions], [d.h_exch for d in decisions], limits.p_max, limits.h_max
-            )
-            worst_sum = max(worst_sum, abs(sum(p_exch)), abs(sum(h_exch)))
-            for i, d in enumerate(decisions):
-                cfg = SYS.communities[i]
-                assert cfg.chp.p_min <= d.p_chp <= cfg.chp.p_max
-                assert cfg.chp.b_min <= d.b_chp <= cfg.chp.b_max
-                assert cfg.ro.p_tp_min <= d.p_tp <= cfg.ro.p_tp_max
-                assert 0.0 <= d.w_rate <= cfg.ro.w_max
-                assert cfg.gt.out_min <= d.p_gt <= cfg.gt.out_max
-                assert cfg.gb.out_min <= d.h_gb <= cfg.gb.out_max
-                assert d.p_tp - cfg.ro.kwh_per_m3 * d.w_rate >= -1e-9
-            assert sum(abs(x) for x in p_exch) <= 2.0 * limits.p_max + 1e-9
-            assert sum(abs(x) for x in h_exch) <= 2.0 * limits.h_max + 1e-9
-            assert all(abs(x) <= limits.p_max + 1e-9 for x in p_exch)
-            assert all(abs(x) <= limits.h_max + 1e-9 for x in h_exch)
+        x = decode_joint(raw, SYS, "coordinated", 1.0)
+        for i, cfg in enumerate(SYS.communities):
+            d = x[:, i]
+            assert (cfg.chp.p_min <= d[:, P_CHP]).all() and (d[:, P_CHP] <= cfg.chp.p_max).all()
+            assert (cfg.chp.b_min <= d[:, B_CHP]).all() and (d[:, B_CHP] <= cfg.chp.b_max).all()
+            assert (cfg.ro.p_tp_min <= d[:, P_TP]).all() and (d[:, P_TP] <= cfg.ro.p_tp_max).all()
+            assert (0.0 <= d[:, W_RATE]).all() and (d[:, W_RATE] <= cfg.ro.w_max).all()
+            assert (cfg.gt.out_min <= d[:, P_GT]).all() and (d[:, P_GT] <= cfg.gt.out_max).all()
+            assert (cfg.gb.out_min <= d[:, H_GB]).all() and (d[:, H_GB] <= cfg.gb.out_max).all()
+            assert (d[:, P_TP] - cfg.ro.kwh_per_m3 * d[:, W_RATE] >= -1e-9).all()
+        p_exch, h_exch = x[..., P_EXCH], x[..., H_EXCH]
+        worst_sum = float(max(np.abs(sum_last(p_exch)).max(), np.abs(sum_last(h_exch)).max()))
+        assert (sum_last(np.abs(p_exch)) <= 2.0 * limits.p_max + 1e-9).all()
+        assert (sum_last(np.abs(h_exch)) <= 2.0 * limits.h_max + 1e-9).all()
+        assert (np.abs(p_exch) <= limits.p_max + 1e-9).all()
+        assert (np.abs(h_exch) <= limits.h_max + 1e-9).all()
         elapsed = time.time() - t0
         report(
             "criterion 2 (constraint suite)",
@@ -316,10 +310,10 @@ class TestCriterion5RatioIdentity:
 
 
 class TestCriterion6DeskScaleLearning:
-    def test_coordinated_learning_reaches_oracle_band(self, coordinated_run, oracle_day):
-        result, records = coordinated_run
-        cost = sum(r.cost_total for r in records)
-        oracle_cost = sum(step.cost.total for step in oracle_day)
+    def test_coordinated_learning_reaches_oracle_band(self, coordinated_run, oracle):
+        result, day = coordinated_run
+        cost = day_total(day.cost)
+        oracle_cost = day_total(oracle.cost)
         rel_gap = abs(cost - oracle_cost) / oracle_cost
         rewards = [row.mean_reward for row in result.log]
         decile = len(rewards) // 10
@@ -334,13 +328,9 @@ class TestCriterion6DeskScaleLearning:
 
 
 class TestCriterion7ModeComparison:
-    def test_coordination_beats_independence(self, scenario, comparison_runs, oracle_day):
+    def test_coordination_beats_independence(self, comparison_runs, oracle):
         coordinated, independent = comparison_runs
-        oracle_curtailed = sum(
-            float(scenario.p_wind[i, t]) - oracle_day[t].decisions[i].wind_used
-            for t in range(24)
-            for i in range(3)
-        )
+        oracle_curtailed = day_total(oracle.balance.curtailed)
         co_cost = float(np.mean([c[0] for c in coordinated]))
         in_cost = float(np.mean([c[0] for c in independent]))
         co_rate = float(np.mean([c[2] / c[3] for c in coordinated]))
@@ -363,17 +353,13 @@ class TestCriterion7ModeComparison:
 class TestCriterion8DecouplingSanity:
     def test_modes_agree_without_coupling(self):
         uniform = generate_scenario(ScenarioSpec(profile="uniform"))
-        loads = [CommunityLoads(3000.0, 1500.0, 80.0)] * 3
-        oracle = oracle_dispatch(loads, [500.0] * 3, SYS, grid_n=ORACLE_GRID)
-        exchanges_zero = all(
-            abs(d.p_exch) < 1e-9 and abs(d.h_exch) < 1e-9 for d in oracle.decisions
-        )
+        exchanges_zero = bool((np.abs(oracle_of(uniform).setpoints[..., P_EXCH:]) < 1e-9).all())
         env_co = DispatchEnv(uniform, SYS, REWARD)
         res_co = train_mappo(env_co, desk_config(episodes=1500, seed=1))
-        cost_co = sum(r.cost_total for r in greedy_rollout(env_co, res_co.actors))
+        cost_co = day_total(greedy_day(env_co, res_co.actors).cost)
         env_in = DispatchEnv(uniform, SYS, REWARD, mode="independent")
         res_in = train_independent(env_in, desk_config(episodes=1500, seed=1))
-        cost_in = sum(r.cost_total for r in greedy_rollout(env_in, res_in.actors))
+        cost_in = day_total(greedy_day(env_in, res_in.actors).cost)
         gap = abs(cost_co - cost_in) / max(cost_co, cost_in)
         ok = exchanges_zero and gap <= 0.03
         report(

@@ -221,6 +221,24 @@ class TestCheckpointValidation:
         assert word in err["message"]
         assert not (tmp / "eval").exists()
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"not json\n", "Expecting value"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode"),
+    ], ids=["text", "not-utf-8"])
+    def test_a_checkpoint_that_is_not_json_is_named(self, workspace, capsys, content, reason):
+        tmp, cfg, scenario = workspace
+        path = tmp / "checkpoint.json"
+        path.write_bytes(content)
+        code = main([
+            "evaluate", "--config", str(cfg), "--scenario", str(scenario),
+            "--checkpoint", str(path), "--out", str(tmp / "eval"),
+        ])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"checkpoint {path}: not valid JSON: {reason}")
+        assert not (tmp / "eval").exists()
+
 
 class TestCompare:
     def test_identical_checkpoints_zero_deltas(self, workspace):
@@ -480,40 +498,27 @@ class TestOracleCommand:
     def test_oracle_schedule_balances(self, workspace):
         tmp, cfg, scenario = workspace
         out = tmp / "oracle"
-        assert main([
-            "oracle", "--config", str(cfg), "--scenario", str(scenario),
-            "--grid-n", "9", "--out", str(out),
-        ]) == 0
+        assert main(["oracle", "--config", str(cfg), "--scenario", str(scenario), "--out", str(out)]) == 0
         rows = read_csv(out / "oracle_schedule.csv")
         assert len(rows) == 72
         for row in rows:
             assert float(row["penalty_kw_eq"]) <= 1e-6
         summary = read_json(out / "oracle_summary.json")
         assert summary["infeasible_steps"] == []
+        assert "grid_n" not in summary
         assert summary["total_cost"] == pytest.approx(sum(float(r["cost_yuan"]) for r in rows), rel=1e-12)
-
-    def test_grid_refinement_never_raises_cost(self, workspace):
-        tmp, cfg, scenario = workspace
-        costs = []
-        for n in (5, 9):
-            out = tmp / f"oracle{n}"
-            assert main([
-                "oracle", "--config", str(cfg), "--scenario", str(scenario),
-                "--grid-n", str(n), "--out", str(out),
-            ]) == 0
-            costs.append(read_json(out / "oracle_summary.json")["total_cost"])
-        assert costs[1] <= costs[0] + 1e-6
 
 
 class TestUsageErrors:
     """A command line that does not parse fails as every other failure does."""
 
     @pytest.mark.parametrize("argv", [
-        ["oracle", "--grid-n", "x", "--out", "o"],
+        ["train", "--episodes", "x", "--out", "t"],
         ["train", "--mode", "bogus", "--out", "t"],
+        ["oracle", "--grid-n", "21", "--out", "o"],
         [],
         ["no-such-verb"],
-    ], ids=["bad-int", "bad-choice", "no-verb", "unknown-verb"])
+    ], ids=["bad-int", "bad-choice", "removed-option", "no-verb", "unknown-verb"])
     def test_exit_1_with_a_json_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
@@ -528,15 +533,6 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 0
         assert "usage:" in capsys.readouterr().out
-
-    def test_grid_n_below_3_is_rejected_before_solving(self, workspace, capsys, monkeypatch):
-        tmp, cfg, scenario = workspace
-        monkeypatch.setattr(cli, "oracle_day", lambda *a, **k: pytest.fail("solved despite a bad --grid-n"))
-        code = main(["oracle", "--config", str(cfg), "--scenario", str(scenario), "--grid-n", "2", "--out", str(tmp / "o")])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ValueError" and "--grid-n" in err["message"]
-        assert not (tmp / "o").exists()
 
 
 class TestBadOutPath:
@@ -596,3 +592,28 @@ class TestConfigValidation:
             assert code == 1, text
             assert json.loads(capsys.readouterr().err)["error"] == "ConfigError", text
             assert not (tmp / "x").exists(), text
+
+    def test_a_non_finite_float_writes_no_summary(self, workspace, capsys):
+        tmp, _, scenario = workspace
+        bad = tmp / "inf.yaml"
+        bad.write_text("system:\n  price: {gas_price_per_m3: .inf}\n", encoding="utf-8")
+        code = main(["oracle", "--config", str(bad), "--scenario", str(scenario), "--out", str(tmp / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "system.price.gas_price_per_m3: expected a finite number, got inf"}
+        assert not (tmp / "o").exists()
+
+    @pytest.mark.parametrize("case", ["train-seed-option", "generator-seed-key"])
+    def test_a_negative_seed_creates_no_output(self, workspace, capsys, case):
+        tmp, _, scenario = workspace
+        bad = tmp / "seed.yaml"
+        bad.write_text("scenario:\n  generator: {seed: -3}\n", encoding="utf-8")
+        argv, key = {
+            "train-seed-option": (["train", "--seed", "-1", "--scenario", str(scenario)], "train: seed"),
+            "generator-seed-key": (["train", "--config", str(bad)], "scenario.generator: seed"),
+        }[case]
+        assert main([*argv, "--episodes", "4", "--out", str(tmp / "x")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert key in err["message"] and "nonnegative" in err["message"]
+        assert not (tmp / "x").exists()

@@ -58,6 +58,37 @@ def test_a_wrong_type_names_the_value():
         load_config(None, {"env": {"reward": {"z": yaml.safe_load("1.0e5")}}})
 
 
+@pytest.mark.parametrize("text, key", [
+    ("system:\n  price: {gas_price_per_m3: .inf}\n", "system.price.gas_price_per_m3"),
+    ("system:\n  exchange: {p_max_kw: .nan}\n", "system.exchange.p_max_kw"),
+    ("env:\n  reward: {kappa: .nan}\n", "env.reward.kappa"),
+    ("env:\n  reward: {z: -.inf}\n", "env.reward.z"),
+    ("system:\n  communities: [{chp: {eta: .nan}}, {}, {}]\n", "system.communities[0].chp.eta"),
+])
+def test_a_non_finite_float_names_its_key(tmp_path, text, key):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: expected a finite number, got ")):
+        load_config(path)
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"train": {"seed": -1}}, "train: seed must be nonnegative, got -1"),
+    ({"scenario": {"generator": {"seed": -3}}}, "scenario.generator: seed must be nonnegative, got -3"),
+])
+def test_a_negative_seed_names_its_key(overrides, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(None, overrides)
+
+
+def test_seeds_are_checked_in_the_dataclasses():
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        ScenarioSpec(seed=-1)
+    assert TrainConfig(seed=0).seed == 0 and ScenarioSpec(seed=0).seed == 0
+
+
 def _spy_loaders(monkeypatch) -> list:
     """Record the loader of every ``yaml.load`` call."""
     used = []

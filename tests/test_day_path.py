@@ -1,16 +1,16 @@
 """The array dispatch kernels against the tests' scalar reference, bit for bit.
 
 Every dispatch number of the package comes from the array kernels of
-``iesdispatch.system``: training's ``evaluate_day``, ``evaluate_step`` (and
-so ``DispatchEnv.step``), ``greedy_rollout``, the oracle's rows and the
-scalar functions of the public API.  These tests hold each of them equal,
-with ``==`` and not a tolerance, to ``scalar_reference``, the same chain
-written one Python float at a time, and hold batched training equal to a
-collector that steps through each day one transition at a time.
+``iesdispatch.system``: training's and ``greedy_day``'s ``evaluate_day``
+and the oracle's rows through ``settle_day``.  These tests hold each of
+them, and each kernel on its own, equal with ``==`` and not a tolerance to
+``scalar_reference``, the same chain written one Python float at a time,
+and hold batched training equal to a collector that steps through each
+day one transition at a time.
 """
 
 import itertools
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ import scalar_reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iesdispatch import env as env_module, learner, system as system_module
+from iesdispatch import learner
 from iesdispatch.config import load_config
 from iesdispatch.devices import ChpParams, GasUnitParams, RoCogenParams
 from iesdispatch.env import (
@@ -29,10 +29,7 @@ from iesdispatch.env import (
     OBSERVATION_MODES,
     DispatchEnv,
     RewardParams,
-    agent_observation,
-    encode_state,
     evaluate_day,
-    evaluate_step,
     settle_day,
 )
 from iesdispatch.learner import LogRow, TrainConfig, sample_action
@@ -40,11 +37,16 @@ from iesdispatch.scenario import PROFILES, ScenarioSpec, generate_scenario
 from iesdispatch.system import (
     BalanceOptions,
     CommunityConfig,
-    CommunityLoads,
-    DispatchDecision,
+    Settlement,
     SystemConfig,
+    affine_setpoints,
+    clip_box,
+    fuel_cost,
     left_sum,
     oracle_day,
+    project_rows,
+    setpoint_box,
+    settle,
     sum_last,
 )
 from iesdispatch.thermal import PipelineParams
@@ -84,6 +86,35 @@ def reference_agent_rewards(record, params):
     return [params.u - (c + params.kappa * b.penalty) / params.z for c, b in zip(record.costs, record.balances)]
 
 
+def reference_state(scenario, t, scales):
+    """The normalized 12-entry state at step t, one division at a time."""
+    quantities = (scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind)
+    return np.array([float(q[i, t]) / float(scales[i, j]) for i in range(N_AGENTS) for j, q in enumerate(quantities)])
+
+
+def reference_observation(state, agent, observation):
+    return state if observation == "full" else state[4 * agent : 4 * agent + 4]
+
+
+def assert_day_equals(day, records, params):
+    """Every array of an evaluated day equals, with ``==``, the reference's
+    records of its steps."""
+    expected = {
+        "setpoints": [[d.row() for d in r.decisions] for r in records],
+        "wind": [r.wind_avail for r in records],
+        "cost": [r.costs for r in records],
+        "team_reward": [r.reward for r in records],
+        "agent_reward": [reference_agent_rewards(r, params) for r in records],
+    }
+    for name, value in expected.items():
+        np.testing.assert_array_equal(getattr(day, name), value, err_msg=name)
+    for name in Settlement._fields:
+        np.testing.assert_array_equal(
+            getattr(day.balance, name), [[getattr(b, name) for b in r.balances] for r in records], err_msg=name
+        )
+    np.testing.assert_array_equal(day.wind - day.balance.curtailed, [[d.wind_used for d in r.decisions] for r in records])
+
+
 class TestEvaluateDay:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -97,7 +128,7 @@ class TestEvaluateDay:
         mixed=st.booleans(),
         dt=st.sampled_from([1.0, 0.5]),
     )
-    def test_equals_evaluate_step(
+    def test_equals_the_reference_steps(
         self, profile, noise_std, scenario_seed, action_seed, mode, options, kwh_per_m3, mixed, dt
     ):
         scenario = generate_scenario(ScenarioSpec(profile=profile, noise_std=noise_std, seed=scenario_seed))
@@ -107,14 +138,12 @@ class TestEvaluateDay:
 
         day = evaluate_day(scenario, actions, sys_cfg, params, mode, dt)
         expected = [ref.evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, dt) for t in range(EPISODE_STEPS)]
+        assert_day_equals(day, expected, params)
 
-        assert day.records() == expected
-        assert [evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, dt) for t in range(EPISODE_STEPS)] == expected
-        np.testing.assert_array_equal(day.team_reward, [r.reward for r in expected])
-        np.testing.assert_array_equal(day.agent_reward, [reference_agent_rewards(r, params) for r in expected])
-        np.testing.assert_array_equal(day.cost, [r.costs for r in expected])
-        np.testing.assert_array_equal(day.balance.penalty, [[b.penalty for b in r.balances] for r in expected])
-        np.testing.assert_array_equal(day.balance.curtailed, [[b.curtailed for b in r.balances] for r in expected])
+        # Any subset of the steps settles as the same rows of the day.
+        steps = [3, 17, 0]
+        part = settle_day(scenario, steps, day.setpoints[steps], sys_cfg, params, dt)
+        assert_day_equals(part, [expected[t] for t in steps], params)
 
     @pytest.mark.parametrize("shape", [(24, 3), (24, 2, 8), (23, 3, 8), (25, 3, 8)])
     def test_rejects_bad_shapes(self, shape):
@@ -126,8 +155,8 @@ class TestEvaluateDay:
             evaluate_day(generate_scenario(ScenarioSpec()), np.zeros((24, 3, 8)), system(8.0, BalanceOptions(), False), RewardParams(), "solo")
 
 
-class TestScalarAdapters:
-    """The public per-community functions are adapters over the kernels."""
+class TestKernelsOnOneCommunity:
+    """Each kernel on one community's row equals the reference's scalar function."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -142,41 +171,44 @@ class TestScalarAdapters:
         with_limits=st.booleans(),
         dt=st.sampled_from([1.0, 0.5]),
     )
-    def test_adapters_equal_the_reference(
+    def test_kernels_equal_the_reference(
         self, values, action, exchanges, loads, community, options, kwh_per_m3, mixed, with_limits, dt
     ):
         sys_cfg = system(kwh_per_m3, options, mixed)
         cfg, limits, price = sys_cfg.communities[community], sys_cfg.limits, sys_cfg.price
-        raw = DispatchDecision(*values, wind_used=values[0])
+        fleet = cfg.fleet
 
-        clipped = system_module.clip_to_limits(raw, cfg, limits if with_limits else None, dt)
-        assert clipped == ref.clip_to_limits(raw, cfg, limits if with_limits else None, dt)
-        assert env_module.action_to_setpoints(action, cfg, limits, dt) == ref.action_to_setpoints(action, cfg, limits, dt)
-        decoded = env_module.decode_action(action, cfg, limits, dt)
-        assert decoded == ref.decode_action(action, cfg, limits, dt)
-        assert system_module.project_exchanges(exchanges[:3], exchanges[3:], 700.0, 900.0) == ref.project_exchanges(
-            exchanges[:3], exchanges[3:], 700.0, 900.0
-        )
-        community_loads = CommunityLoads(*loads[:3])
-        for decision in (clipped, decoded):
-            assert system_module.power_balance(decision, community_loads, loads[3], cfg, options, dt) == ref.power_balance(
-                decision, community_loads, loads[3], cfg, options, dt
+        lo, hi = setpoint_box(fleet, limits if with_limits else None, dt)
+        clipped = clip_box(np.array([values]), lo, hi, fleet.q)
+        assert clipped[0].tolist() == ref.clip_to_limits(ref.DispatchDecision(*values), cfg, limits if with_limits else None, dt).row()
+        lo, hi = setpoint_box(fleet, limits, dt)
+        mapped = affine_setpoints(np.array([action]), lo, hi)
+        assert mapped[0].tolist() == ref.action_to_setpoints(action, cfg, limits, dt).row()
+        decoded = clip_box(mapped, lo, hi, fleet.q)
+        assert decoded[0].tolist() == ref.decode_action(action, cfg, limits, dt).row()
+        projected = project_rows(np.array([exchanges[:3], exchanges[3:]]), [700.0, 900.0])
+        assert tuple(map(tuple, projected.tolist())) == ref.project_exchanges(exchanges[:3], exchanges[3:], 700.0, 900.0)
+
+        community_loads = ref.CommunityLoads(*loads[:3])
+        for x in (clipped, decoded):
+            settled = settle(x, *loads, fleet, options, dt)
+            decision = ref.DispatchDecision(*x[0].tolist())
+            assert [float(v[0]) for v in settled] == list(
+                astuple(ref.power_balance(decision, community_loads, loads[3], cfg, options, dt))
             )
-            assert system_module.community_cost(decision, cfg, price) == ref.community_cost(decision, cfg, price)
-        params = RewardParams(kappa=1.5)
-        assert env_module.step_reward(values[0], exchanges[:3], params) == ref.step_reward(values[0], exchanges[:3], params)
+            assert float(fuel_cost(x, fleet, price)[0]) == ref.community_cost(decision, cfg, price)
 
 
 class TestDayStates:
     @pytest.mark.parametrize("observation", OBSERVATION_MODES)
-    def test_precomputed_states_match_encode_state(self, observation):
+    def test_precomputed_states_equal_the_reference(self, observation):
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=2))
         env = DispatchEnv(scenario, system(8.0, BalanceOptions(), False), observation=observation)
         for t in range(EPISODE_STEPS):
-            state = encode_state(scenario, t, env.scales)
+            state = reference_state(scenario, t, env.scales)
             np.testing.assert_array_equal(env.states[t], state)
             for k in range(N_AGENTS):
-                np.testing.assert_array_equal(env.observations[k, t], agent_observation(state, k, observation))
+                np.testing.assert_array_equal(env.observations[k, t], reference_observation(state, k, observation))
 
 
 def step_by_step_collect(env, actors, critics, rng, independent, episodes):
@@ -195,11 +227,11 @@ def step_by_step_collect(env, actors, critics, rng, independent, episodes):
     for e, episode in enumerate(episodes):
         records = []
         for t in range(EPISODE_STEPS):
-            state = encode_state(env.scenario, t, env.scales)
-            per_agent = [agent_observation(state, k, env.observation) for k in range(N_AGENTS)]
+            state = reference_state(env.scenario, t, env.scales)
+            per_agent = [reference_observation(state, k, env.observation) for k in range(N_AGENTS)]
             for k in range(N_AGENTS):
                 actions[e, t, k], log_probs[e, t, k] = sample_action(
-                    actors[k].mean_action(per_agent[k]), actors[k].clamped_log_std(), rng
+                    actors[k].net.forward(per_agent[k])[0][0], actors[k].clamped_log_std(), rng
                 )
             if independent:
                 for k in range(N_AGENTS):
@@ -313,18 +345,18 @@ class TestOnePassTraining:
         )
         self.check_against_the_reference(monkeypatch, env, cfg, [5, 5, 3])
 
-    def test_greedy_rollout_equals_stepping_the_means(self):
+    def test_greedy_day_equals_the_means_stepped(self):
         env = DispatchEnv(generate_scenario(ScenarioSpec(noise_std=0.05, seed=6)), system(7.3, BalanceOptions(), True))
         result = learner.train_mappo(env, TrainConfig(batch=48, episodes=4, seed=2))
-        records = learner.greedy_rollout(env, result.actors)
-        state = env.reset()
+        records = []
         for t in range(EPISODE_STEPS):
+            state = reference_state(env.scenario, t, env.scales)
             means = np.stack([
-                result.actors[k].mean_action(agent_observation(state, k, env.observation)) for k in range(N_AGENTS)
+                result.actors[k].net.forward(reference_observation(state, k, env.observation))[0][0]
+                for k in range(N_AGENTS)
             ])
-            assert records[t] == ref.evaluate_step(env.scenario, t, means, env.system_cfg, env.reward_params)
-            state, _, _, record = env.step(means)
-            assert record == records[t]
+            records.append(ref.evaluate_step(env.scenario, t, means, env.system_cfg, env.reward_params))
+        assert_day_equals(learner.greedy_day(env, result.actors), records, env.reward_params)
 
 
 class TestOracleRows:
@@ -336,23 +368,25 @@ class TestOracleRows:
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=22))
         setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg, dt)
         day = settle_day(scenario, slice(None), setpoints, sys_cfg, run_cfg.reward, dt)
-        penalties = sum_last(day.balance.penalty)
-        for t, record in enumerate(day.records()):
-            loads = [CommunityLoads(*(float(q[i, t]) for q in (scenario.p_load, scenario.h_load, scenario.w_load)))
+        cfgs = sys_cfg.communities
+        records = []
+        for t in range(EPISODE_STEPS):
+            loads = [ref.CommunityLoads(*(float(q[i, t]) for q in (scenario.p_load, scenario.h_load, scenario.w_load)))
                      for i in range(N_AGENTS)]
             wind = [float(scenario.p_wind[i, t]) for i in range(N_AGENTS)]
-
-            cfgs = sys_cfg.communities
-            decisions = [DispatchDecision(*row) for row in setpoints[t].tolist()]
+            decisions = [ref.DispatchDecision(*row) for row in setpoints[t].tolist()]
             balances = tuple(
                 ref.power_balance(d, loads[i], wind[i], cfgs[i], sys_cfg.options, dt) for i, d in enumerate(decisions)
             )
             costs = tuple(ref.community_cost(d, cfgs[i], sys_cfg.price) for i, d in enumerate(decisions))
-            assert record.balances == balances
-            assert record.costs == costs
-            assert record.wind_avail == tuple(wind)
-            assert record.reward == ref.step_reward(left_sum(costs), [b.penalty for b in balances], run_cfg.reward)
-            assert record.decisions == tuple(
-                replace(d, wind_used=wind[i] - balances[i].curtailed) for i, d in enumerate(decisions)
-            )
-            assert penalties[t] == left_sum(b.penalty for b in balances)
+            records.append(ref.StepRecord(
+                t=t,
+                decisions=tuple(replace(d, wind_used=wind[i] - balances[i].curtailed) for i, d in enumerate(decisions)),
+                balances=balances,
+                costs=costs,
+                wind_avail=tuple(wind),
+                reward=ref.step_reward(left_sum(costs), [b.penalty for b in balances], run_cfg.reward),
+                done=t == EPISODE_STEPS - 1,
+            ))
+        assert_day_equals(day, records, run_cfg.reward)
+        assert sum_last(day.balance.penalty).tolist() == [r.penalty_total for r in records]

@@ -1,4 +1,4 @@
-"""Unit tests for the device output and fuel-cost models."""
+"""Unit tests for the device parameters, membrane physics and fuel cost."""
 
 import math
 
@@ -9,18 +9,13 @@ from iesdispatch.devices import (
     ChpParams,
     FuelPrice,
     GasUnitParams,
-    LimitViolation,
     RoCogenParams,
-    chp_heat_output,
-    cogen_net_power,
     gas_cost,
     ro_osmotic_pressure,
-    ro_power_demand,
     ro_specific_energy,
 )
 
 RO = RoCogenParams()
-CHP = ChpParams()
 PRICE = FuelPrice()
 
 
@@ -68,61 +63,6 @@ class TestSpecificEnergy:
         grid = [0.01 * k for k in range(1, 100)]
         values = [ro_specific_energy(RO, b) for b in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-
-class TestPowerDemand:
-    def test_zero_production(self):
-        assert ro_power_demand(RO, 0.0) == 0.0
-
-    def test_scaling(self):
-        assert ro_power_demand(RO, 100.0) == pytest.approx(800.0, rel=1e-12)
-        assert ro_power_demand(RO, 500.0) == pytest.approx(4000.0, rel=1e-12)
-
-    def test_rejects_negative_and_over_limit(self):
-        with pytest.raises(ValueError):
-            ro_power_demand(RO, -1.0)
-        with pytest.raises(LimitViolation):
-            ro_power_demand(RO, 500.1)
-
-
-class TestCogenNetPower:
-    def test_net_power(self):
-        assert cogen_net_power(RO, 5000.0, 500.0) == pytest.approx(1000.0, rel=1e-12)
-
-    def test_no_desalination_load(self):
-        assert cogen_net_power(RO, 5000.0, 0.0) == pytest.approx(5000.0, rel=1e-12)
-
-    def test_gross_power_limit(self):
-        with pytest.raises(LimitViolation):
-            cogen_net_power(RO, 5001.0, 0.0)
-        with pytest.raises(LimitViolation):
-            cogen_net_power(RoCogenParams(p_tp_min=100.0), 50.0, 0.0)
-
-    @given(st.floats(0.0, 5000.0), st.floats(0.0, 500.0))
-    def test_energy_bookkeeping(self, p_gross, w):
-        # net + pumping always reassembles the gross output exactly
-        net = cogen_net_power(RO, p_gross, w)
-        assert net + ro_power_demand(RO, w) == pytest.approx(p_gross, abs=1e-9)
-
-
-class TestChpHeat:
-    def test_max_ratio(self):
-        assert chp_heat_output(CHP, 5000.0, 1.4) == pytest.approx(7000.0, rel=1e-12)
-
-    def test_zero_ratio(self):
-        assert chp_heat_output(CHP, 1000.0, 0.0) == 0.0
-
-    def test_bounds_named_in_errors(self):
-        with pytest.raises(LimitViolation, match="below minimum 1000"):
-            chp_heat_output(CHP, 999.0, 0.5)
-        with pytest.raises(LimitViolation, match="above maximum 5000"):
-            chp_heat_output(CHP, 5001.0, 0.5)
-        with pytest.raises(LimitViolation, match="above maximum 1.4"):
-            chp_heat_output(CHP, 2000.0, 1.5)
-
-    @given(st.floats(1000.0, 5000.0), st.floats(0.001, 1.4))
-    def test_ratio_recovered(self, p, b):
-        assert chp_heat_output(CHP, p, b) / p == pytest.approx(b, rel=1e-12)
 
 
 class TestGasCost:

@@ -21,7 +21,7 @@ from iesdispatch.learner import (
     critic_loss_and_grads,
     gae_advantages,
     gaussian_log_prob,
-    greedy_rollout,
+    greedy_day,
     load_checkpoint,
     normalize_advantages,
     prob_ratio,
@@ -31,7 +31,7 @@ from iesdispatch.learner import (
     train_mappo,
 )
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
-from iesdispatch.system import default_system_config
+from iesdispatch.system import P_EXCH, default_system_config
 
 SYS = default_system_config()
 
@@ -279,11 +279,8 @@ class TestTrainingLoop:
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=8, seed=5)
         result = train_independent(env, cfg)
         assert len(result.critics) == 3
-        records = greedy_rollout(env, result.actors)
-        for record in records:
-            for d in record.decisions:
-                assert d.p_exch == 0.0
-                assert d.h_exch == 0.0
+        day = greedy_day(env, result.actors)
+        assert (day.setpoints[..., P_EXCH:] == 0.0).all()
 
     def test_trailing_episodes_are_trained_on(self, monkeypatch):
         batches = []
@@ -328,15 +325,16 @@ class TestTrainingLoop:
         )
         result = train_mappo(env, TrainConfig(episodes=4, seed=0))
         assert result.actors[0].net.in_dim == 12
-        assert len(greedy_rollout(env, result.actors)) == 24
+        assert greedy_day(env, result.actors).setpoints.shape == (24, 3, 8)
 
-    def test_greedy_rollout_deterministic(self):
+    def test_greedy_day_deterministic(self):
         env = small_env()
         result = train_mappo(env, TrainConfig(episodes=8, seed=2))
-        a = greedy_rollout(env, result.actors)
-        b = greedy_rollout(env, result.actors)
-        assert [r.cost_total for r in a] == [r.cost_total for r in b]
-        assert len(a) == 24
+        a = greedy_day(env, result.actors)
+        b = greedy_day(env, result.actors)
+        np.testing.assert_array_equal(a.setpoints, b.setpoints)
+        np.testing.assert_array_equal(a.cost, b.cost)
+        assert a.cost.shape == (24, 3)
 
 
 def assert_params_view_the_vector(networks):
@@ -375,10 +373,8 @@ class TestCheckpointRoundTrip:
         assert isinstance(ckpt, Checkpoint)
         assert ckpt.mode == "coordinated"
         assert ckpt.config_hash == "abc"
-        obs = np.random.default_rng(0).standard_normal(4)
-        np.testing.assert_array_equal(
-            ckpt.actors[0].mean_action(obs), result.actors[0].mean_action(obs)
-        )
+        obs = np.random.default_rng(0).standard_normal((5, 4))
+        np.testing.assert_array_equal(ckpt.actors[0].net.forward(obs)[0], result.actors[0].net.forward(obs)[0])
         np.testing.assert_array_equal(ckpt.scales, result.scales)
 
     def test_bytes_deterministic(self, tmp_path):

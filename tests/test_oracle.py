@@ -24,16 +24,16 @@ from iesdispatch.scenario import ScenarioSpec, generate_scenario
 from iesdispatch.system import (
     FEASIBLE_TOL,
     H_EXCH,
+    P_CHP,
     P_EXCH,
+    P_TP,
     BalanceOptions,
-    CommunityLoads,
     _lexicographic_simplex,
     _programs,
     default_system_config,
-    left_sum,
+    fuel_cost,
     oracle_day,
-    oracle_dispatch,
-    setpoint_rows,
+    settle,
     sum_last,
 )
 
@@ -45,8 +45,14 @@ CHP_ETA, RO_ETA = 0.90, 0.40
 OPTION_SETS = [BalanceOptions(*flags) for flags in itertools.product((False, True), repeat=3)]
 
 
-def _loads(p, h, w):
-    return CommunityLoads(p_load=p, h_load=h, w_load=w)
+def solve_step(loads, wind):
+    """The oracle's setpoints (3, 8) of one step of (p, h, w) loads per
+    community, with the step's summed penalty and cost."""
+    p_load, h_load, w_load = (np.array([[load[k] for load in loads]], dtype=float) for k in range(3))
+    wind = np.array([wind], dtype=float)
+    x = oracle_day(p_load, h_load, w_load, wind, SYS)
+    penalty = sum_last(settle(x, p_load, h_load, w_load, wind, SYS.fleet, SYS.options, 1.0).penalty)[0]
+    return x[0], penalty, sum_last(fuel_cost(x, SYS.fleet, SYS.price))[0]
 
 
 def solve_day(day, sys_cfg):
@@ -61,22 +67,19 @@ class TestHandDerivedOptima:
         # 2000 kW surplus can reach community 1 only up to the 1000 kW import
         # limit, so 1000 kW of imbalance is unavoidable; community 1 makes
         # the other 2000 kW of its load on its CHP, the cheapest unit.
-        loads = [_loads(3000.0, 0.0, 0.0), _loads(0.0, 0.0, 0.0), _loads(0.0, 0.0, 0.0)]
-        step = oracle_dispatch(loads, [0.0] * 3, SYS)
-        assert not step.feasible
-        assert step.penalty == pytest.approx(1000.0, abs=1e-6)
-        assert step.decisions[0].p_chp == pytest.approx(2000.0, abs=1e-6)
-        assert step.decisions[0].p_exch == pytest.approx(1000.0, abs=1e-6)
-        assert step.cost.total == pytest.approx(UNIT * 4000.0 / CHP_ETA, rel=1e-12)
+        x, penalty, cost = solve_step([(3000.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)], [0.0] * 3)
+        assert penalty == pytest.approx(1000.0, abs=1e-6)
+        assert x[0, P_CHP] == pytest.approx(2000.0, abs=1e-6)
+        assert x[0, P_EXCH] == pytest.approx(1000.0, abs=1e-6)
+        assert cost == pytest.approx(UNIT * 4000.0 / CHP_ETA, rel=1e-12)
 
     def test_all_zero_loads(self):
         # Each CHP runs at its floor and nothing can absorb it: no exchange
         # helps, and pumping water only shifts power within the cogeneration unit.
-        step = oracle_dispatch([_loads(0.0, 0.0, 0.0)] * 3, [0.0] * 3, SYS)
-        assert step.penalty == pytest.approx(3000.0, abs=1e-6)
-        assert step.cost.total == pytest.approx(UNIT * 3000.0 / CHP_ETA, rel=1e-12)
-        for d in step.decisions:
-            assert (d.p_exch, d.h_exch, d.p_tp, d.w_rate, d.p_gt, d.h_gb) == (0.0,) * 6
+        x, penalty, cost = solve_step([(0.0, 0.0, 0.0)] * 3, [0.0] * 3)
+        assert penalty == pytest.approx(3000.0, abs=1e-6)
+        assert cost == pytest.approx(UNIT * 3000.0 / CHP_ETA, rel=1e-12)
+        assert (x[:, P_TP:] == 0.0).all()  # p_tp, w_rate, p_gt, h_gb and both exchanges
 
     @pytest.mark.parametrize("options", OPTION_SETS, ids=str)
     def test_symmetric_day(self, options):
@@ -95,18 +98,14 @@ class TestHandDerivedOptima:
         assert (settled.setpoints[..., P_EXCH] == 0.0).all() and (settled.setpoints[..., H_EXCH] == 0.0).all()
         assert (settled.wind - settled.balance.curtailed == 500.0).all()
 
-    def test_one_step_call_equals_the_day(self):
+    @pytest.mark.parametrize("options", OPTION_SETS, ids=str)
+    def test_a_step_solved_alone_equals_the_day(self, options):
         day = generate_scenario(ScenarioSpec(noise_std=0.05, seed=7))
-        settled = solve_day(day, SYS)
+        sys_cfg = dataclasses.replace(SYS, options=options)
+        settled = solve_day(day, sys_cfg)
         for t in (0, 11, 23):
-            loads = [_loads(*(float(q[i, t]) for q in (day.p_load, day.h_load, day.w_load))) for i in range(3)]
-            step = oracle_dispatch(loads, day.p_wind[:, t].tolist(), SYS)
-            assert (setpoint_rows(step.decisions) == settled.setpoints[t]).all()
-            assert step.cost.per_community == tuple(settled.cost[t].tolist())
-            assert step.penalty == left_sum(settled.balance.penalty[t].tolist())
-            assert step.feasible == (step.penalty <= FEASIBLE_TOL)
-            used = (settled.wind - settled.balance.curtailed)[t].tolist()
-            assert [d.wind_used for d in step.decisions] == used
+            alone = oracle_day(*(q[:, t : t + 1].T for q in (day.p_load, day.h_load, day.w_load, day.p_wind)), sys_cfg)
+            assert (alone[0] == settled.setpoints[t]).all(), t
 
 
 @pytest.mark.parametrize("options", OPTION_SETS, ids=str)
