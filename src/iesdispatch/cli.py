@@ -84,11 +84,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def summarize(day: DayEvaluation, dt: float = 1.0) -> dict:
+def summarize(day: DayEvaluation) -> dict:
     """Totals of an evaluated day, each added left to right in the
     schedule's row order (steps, then communities), so that each equals
     the sum of the cells ``write_schedule_csv`` writes."""
-    x, balance = day.setpoints, day.balance
+    x, balance, dt = day.setpoints, day.balance, day.dt
 
     def total(values) -> float:
         return left_sum(np.ravel(values).tolist())
@@ -108,12 +108,12 @@ def summarize(day: DayEvaluation, dt: float = 1.0) -> dict:
     }
 
 
-def write_schedule_csv(path: Path, day: DayEvaluation, system_cfg: SystemConfig, dt: float = 1.0) -> None:
+def write_schedule_csv(path: Path, day: DayEvaluation, system_cfg: SystemConfig) -> None:
     """Write an evaluated day's schedule, one row per step and community,
     after re-checking every setpoint's box and every step's conservation
     of the exchanges."""
     x, b = day.setpoints, day.balance
-    assert_within_limits(x, system_cfg.fleet, system_cfg.limits, dt)
+    assert_within_limits(x, system_cfg)
     net = sum_last(x[..., P_EXCH:].swapaxes(-1, -2))  # (T, 2): electricity, heat
     leaks = np.flatnonzero((np.abs(net) > 1e-6).any(axis=-1))
     if leaks.size:
@@ -196,19 +196,14 @@ def cmd_generate_scenario(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
-    env = DispatchEnv(
-        scenario,
-        cfg.system,
-        cfg.reward,
-        mode=cfg.mode,
-        observation=cfg.observation,
-        dt=cfg.system.price.dt,
-    )
+    env = DispatchEnv(scenario, cfg.system, cfg.reward, mode=cfg.mode, observation=cfg.observation)
     out = _out_dir(args)
-    if cfg.mode == "independent":
-        result = L.train_independent(env, cfg.train)
-    else:
-        result = L.train_mappo(env, cfg.train)
+    train = L.train_independent if cfg.mode == "independent" else L.train_mappo
+    try:
+        result = train(env, cfg.train)
+    except L.TrainingDiverged as exc:
+        write_training_log(out / "training_log.csv", exc.log)
+        raise
     L.save_checkpoint(out / "checkpoint.json", result, config_hash(cfg), scenario_hash(scenario))
     write_training_log(out / "training_log.csv", result.log)
     write_reward_curve(out / "reward_curve.csv", result.log)
@@ -224,13 +219,7 @@ def _evaluate_checkpoint(
             f"checkpoint {checkpoint_path} was trained under a different system configuration"
         )
     env = DispatchEnv(
-        scenario,
-        cfg.system,
-        ckpt.reward_params,
-        mode=ckpt.mode,
-        observation=ckpt.observation,
-        scales=ckpt.scales,
-        dt=cfg.system.price.dt,
+        scenario, cfg.system, ckpt.reward_params, mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales
     )
     return L.greedy_day(env, ckpt.actors)
 
@@ -241,8 +230,8 @@ def cmd_evaluate(args) -> int:
     ckpt = L.load_checkpoint(args.checkpoint)
     out = _out_dir(args)
     day = _evaluate_checkpoint(args.checkpoint, ckpt, cfg, scenario)
-    write_schedule_csv(out / "schedule.csv", day, cfg.system, cfg.system.price.dt)
-    summary = summarize(day, cfg.system.price.dt)
+    write_schedule_csv(out / "schedule.csv", day, cfg.system)
+    summary = summarize(day)
     ids = {"mode": ckpt.mode, "config_hash": ckpt.config_hash, "scenario_hash": scenario_hash(scenario)}
     write_json(out / "summary.json", {**summary, **ids})
     print(f"evaluated {ckpt.mode} checkpoint -> {out}")
@@ -257,8 +246,8 @@ def cmd_compare(args) -> int:
     if ckpt_a.config_hash != ckpt_b.config_hash:
         raise CheckpointMismatch("checkpoints were trained under different system configurations")
     out = _out_dir(args)
-    summary_a = summarize(_evaluate_checkpoint(args.checkpoint_a, ckpt_a, cfg, scenario), cfg.system.price.dt)
-    summary_b = summarize(_evaluate_checkpoint(args.checkpoint_b, ckpt_b, cfg, scenario), cfg.system.price.dt)
+    summary_a = summarize(_evaluate_checkpoint(args.checkpoint_a, ckpt_a, cfg, scenario))
+    summary_b = summarize(_evaluate_checkpoint(args.checkpoint_b, ckpt_b, cfg, scenario))
     delta_total = summary_b["total_cost"] - summary_a["total_cost"]
     payload = {
         "a": {"checkpoint": args.checkpoint_a, "mode": ckpt_a.mode, **summary_a},
@@ -281,13 +270,12 @@ def cmd_oracle(args) -> int:
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
     out = _out_dir(args)
-    dt = cfg.system.price.dt
-    setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, cfg.system, dt)
-    day = settle_day(scenario, slice(None), setpoints, cfg.system, cfg.reward, dt)
-    write_schedule_csv(out / "oracle_schedule.csv", day, cfg.system, dt)
+    setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, cfg.system)
+    day = settle_day(scenario, setpoints, cfg.system, cfg.reward)
+    write_schedule_csv(out / "oracle_schedule.csv", day, cfg.system)
     infeasible = np.flatnonzero(sum_last(day.balance.penalty) > FEASIBLE_TOL).tolist()
     ids = {"infeasible_steps": infeasible, "scenario_hash": scenario_hash(scenario)}
-    write_json(out / "oracle_summary.json", {**summarize(day, dt), **ids})
+    write_json(out / "oracle_summary.json", {**summarize(day), **ids})
     print(f"oracle dispatch -> {out}")
     return 0
 

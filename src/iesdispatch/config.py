@@ -167,6 +167,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
                 user_tree = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
             except yaml.YAMLError as exc:
                 raise ConfigError(f"{path}: not valid YAML: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not valid UTF-8: {exc}") from None
         if user_tree is None:
             user_tree = {}
         if not isinstance(user_tree, dict):

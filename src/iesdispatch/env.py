@@ -38,7 +38,6 @@ from .system import (
     fuel_cost,
     left_sum,
     project_rows,
-    setpoint_box,
     settle,
     sum_last,
 )
@@ -119,6 +118,7 @@ class DayEvaluation:
     setpoints in ``system.SETPOINTS`` order, ``team_reward`` has shape
     (T,), and ``wind``, ``cost``, ``agent_reward`` and the fields of
     ``balance`` have shape (T, 3), one column per community in id order.
+    ``dt`` is the step length in hours, the system's ``price.dt``.
     """
 
     setpoints: np.ndarray
@@ -127,6 +127,7 @@ class DayEvaluation:
     cost: np.ndarray
     team_reward: np.ndarray
     agent_reward: np.ndarray
+    dt: float
 
 
 def day_total(x: np.ndarray) -> float:
@@ -135,15 +136,15 @@ def day_total(x: np.ndarray) -> float:
     return float(left_sum(sum_last(x).tolist()))
 
 
-def decode_joint(actions: np.ndarray, system_cfg: SystemConfig, mode: str, dt: float) -> np.ndarray:
+def decode_joint(actions: np.ndarray, system_cfg: SystemConfig, mode: str) -> np.ndarray:
     """Setpoints (..., 3, 8) of joint actions (..., 3, 8): clamp, affine map
     and box clip, then the exchanges projected onto conservation, or zeroed
     in independent mode."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    fleet, limits = system_cfg.fleet, system_cfg.limits
-    lo, hi = setpoint_box(fleet, limits, dt)
-    x = clip_box(affine_setpoints(actions, lo, hi), lo, hi, fleet.q)
+    limits = system_cfg.limits
+    lo, hi = system_cfg.box
+    x = clip_box(affine_setpoints(actions, lo, hi), lo, hi, system_cfg.fleet.q)
     if mode == "independent":
         x[..., P_EXCH:] = 0.0
     else:
@@ -153,18 +154,13 @@ def decode_joint(actions: np.ndarray, system_cfg: SystemConfig, mode: str, dt: f
 
 
 def settle_day(
-    scenario: ScenarioData,
-    steps,
-    setpoints: np.ndarray,
-    system_cfg: SystemConfig,
-    reward_params: RewardParams,
-    dt: float = 1.0,
+    scenario: ScenarioData, setpoints: np.ndarray, system_cfg: SystemConfig, reward_params: RewardParams
 ) -> DayEvaluation:
-    """Balance, price and reward setpoints (T, 3, 8) already in their boxes
-    against the scenario's loads and wind at ``steps`` (an index list or slice)."""
-    p_load, h_load, w_load, wind = (q[:, steps].T for q in (scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind))
+    """Balance, price and reward a day of setpoints (24, 3, 8) already in
+    their boxes against the scenario's loads and wind."""
+    p_load, h_load, w_load, wind = (q.T for q in (scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind))
     fleet = system_cfg.fleet
-    balance = settle(setpoints, p_load, h_load, w_load, wind, fleet, system_cfg.options, dt)
+    balance = settle(setpoints, p_load, h_load, w_load, wind, fleet, system_cfg.options)
     cost = fuel_cost(setpoints, fleet, system_cfg.price)
     return DayEvaluation(
         setpoints=setpoints,
@@ -173,6 +169,7 @@ def settle_day(
         cost=cost,
         team_reward=_reward(sum_last(cost), sum_last(balance.penalty), reward_params),
         agent_reward=_reward(cost, balance.penalty, reward_params),
+        dt=system_cfg.price.dt,
     )
 
 
@@ -182,15 +179,13 @@ def evaluate_day(
     system_cfg: SystemConfig,
     reward_params: RewardParams,
     mode: str = "coordinated",
-    dt: float = 1.0,
 ) -> DayEvaluation:
     """Decode, project, balance, price and reward a day of joint actions
     (24, 3, 8), all steps at once. Deterministic."""
     actions = np.asarray(actions, dtype=float)
     if actions.shape != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
         raise ValueError(f"actions must have shape {(EPISODE_STEPS, N_AGENTS, ACTION_DIM)}, got {actions.shape}")
-    setpoints = decode_joint(actions, system_cfg, mode, dt)
-    return settle_day(scenario, slice(None), setpoints, system_cfg, reward_params, dt)
+    return settle_day(scenario, decode_joint(actions, system_cfg, mode), system_cfg, reward_params)
 
 
 class DispatchEnv:
@@ -209,7 +204,6 @@ class DispatchEnv:
         mode: str = "coordinated",
         observation: str = "own",
         scales: np.ndarray | None = None,
-        dt: float = 1.0,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -221,7 +215,6 @@ class DispatchEnv:
         self.mode = mode
         self.observation = observation
         self.scales = compute_scales(scenario) if scales is None else np.asarray(scales, dtype=float)
-        self.dt = dt
         self.states = encode_day(scenario, self.scales)
         self.observations = day_observations(self.states, observation)
         self.states.setflags(write=False)

@@ -51,7 +51,13 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the reward trace collapses or turns NaN."""
+    """Raised when the reward trace collapses or turns NaN.  Raised out of
+    training, it holds in ``log`` the rows of the episodes before the one
+    that diverged."""
+
+    def __init__(self, message: str, log: Sequence[LogRow] = ()) -> None:
+        super().__init__(message)
+        self.log = list(log)
 
 
 @dataclass
@@ -357,7 +363,7 @@ def _collect_batch(
     actions, log_probs = sample_action(np.broadcast_to(means, (len(episodes), *means.shape)), log_std, rng)
     critic_inputs = env.observations if independent else [env.states]
     values = np.stack([critic.net.forward_rows(x)[:, 0] for critic, x in zip(critics, critic_inputs)])
-    days = [evaluate_day(env.scenario, a, env.system_cfg, env.reward_params, env.mode, env.dt) for a in actions]
+    days = [evaluate_day(env.scenario, a, env.system_cfg, env.reward_params, env.mode) for a in actions]
     rewards = np.stack([day.agent_reward.T if independent else day.team_reward[None] for day in days], axis=1)
     rows = [
         LogRow(
@@ -365,7 +371,7 @@ def _collect_batch(
             mean_reward=float(day.team_reward.mean()),
             total_cost=day_total(day.cost),
             total_penalty=day_total(day.balance.penalty),
-            curtailment_kwh=day_total(day.balance.curtailed) * env.dt,
+            curtailment_kwh=day_total(day.balance.curtailed) * day.dt,
         )
         for episode, day in zip(episodes, days)
     ]
@@ -430,8 +436,11 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
         episodes = range(first, min(first + per_update, cfg.episodes))
         *batch, rows = _collect_batch(env, actors, critics, rng, independent, episodes)
         for row in rows:
+            try:
+                monitor.observe(row.mean_reward, row.episode)
+            except TrainingDiverged as exc:
+                raise TrainingDiverged(str(exc), log) from None
             log.append(row)
-            monitor.observe(row.mean_reward, row.episode)
         _update(actors, critics, actor_opts, critic_opts, *batch, env, cfg, independent)
 
     return TrainResult(
@@ -465,7 +474,7 @@ def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
 def greedy_day(env: DispatchEnv, actors: Sequence[GaussianActor]) -> DayEvaluation:
     """One deterministic day driven by the policy means, no sampling,
     evaluated in one ``evaluate_day``."""
-    return evaluate_day(env.scenario, _policy_means(env, actors), env.system_cfg, env.reward_params, env.mode, env.dt)
+    return evaluate_day(env.scenario, _policy_means(env, actors), env.system_cfg, env.reward_params, env.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def load_scenario(path: str | Path) -> ScenarioData:
             rows = list(reader)
         except csv.Error as exc:  # a cell over the csv module's field size limit, say
             raise ScenarioFormatError(f"{path}: row {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"{path}: not valid UTF-8: {exc}") from None
     if not rows:
         raise ScenarioFormatError(f"{path}: empty file")
     header = rows[0]

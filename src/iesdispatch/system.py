@@ -106,6 +106,11 @@ class SystemConfig:
         """The communities' parameters as the dispatch kernels read them, in config order."""
         return fleet_of(self.communities)
 
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (3, 8) setpoint limits at this system's step length and exchange limits."""
+        return setpoint_box(self.fleet, self.limits, self.price.dt)
+
 
 def default_system_config() -> SystemConfig:
     return SystemConfig(communities=tuple(CommunityConfig(id=i) for i in (1, 2, 3)))
@@ -159,7 +164,6 @@ class Fleet(NamedTuple):
 
     Three of its fields are the ``PipelineParams`` fields that
     ``thermal.deliverable_heat_power`` reads, so a fleet stands in for them.
-    ``boxes`` keeps the result of ``setpoint_box`` per limits and step length.
     """
 
     lo: np.ndarray        # (n, 8) setpoint lower limits; exchanges -inf until limits apply
@@ -170,7 +174,6 @@ class Fleet(NamedTuple):
     c_water: np.ndarray
     t_supply: np.ndarray
     t_return: np.ndarray
-    boxes: dict
 
 
 def fleet_of(communities: Sequence[CommunityConfig]) -> Fleet:
@@ -190,23 +193,20 @@ def fleet_of(communities: Sequence[CommunityConfig]) -> Fleet:
     arrays = [np.array(column, dtype=float) for column in zip(*rows)]
     for array in arrays:
         array.setflags(write=False)
-    return Fleet(*arrays, boxes={})
+    return Fleet(*arrays)
 
 
 def setpoint_box(fleet: Fleet, limits: ExchangeLimits | None, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(n, 8) lower and upper setpoint limits at step length ``dt``; the
     exchanges within ``limits``, or unbounded without them.  Read-only."""
-    box = fleet.boxes.get((limits, dt))
-    if box is None:
-        lo, hi = fleet.lo.copy(), fleet.hi.copy()
-        hi[:, W_RATE] = hi[:, W_RATE] / dt
-        if limits is not None:
-            lo[:, P_EXCH], hi[:, P_EXCH] = -limits.p_max, limits.p_max
-            lo[:, H_EXCH], hi[:, H_EXCH] = -limits.h_max, limits.h_max
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        box = fleet.boxes[(limits, dt)] = (lo, hi)
-    return box
+    lo, hi = fleet.lo.copy(), fleet.hi.copy()
+    hi[:, W_RATE] = hi[:, W_RATE] / dt
+    if limits is not None:
+        lo[:, P_EXCH], hi[:, P_EXCH] = -limits.p_max, limits.p_max
+        lo[:, H_EXCH], hi[:, H_EXCH] = -limits.h_max, limits.h_max
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
 
 
 def affine_setpoints(actions, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -256,7 +256,7 @@ class Settlement(NamedTuple):
     penalty: np.ndarray
 
 
-def settle(x, p_load, h_load, w_load, wind, fleet: Fleet, options: BalanceOptions, dt: float) -> Settlement:
+def settle(x, p_load, h_load, w_load, wind, fleet: Fleet, options: BalanceOptions) -> Settlement:
     """Balance residuals of setpoints against loads and available wind.
 
     Any electric surplus up to the available wind is absorbed by curtailing
@@ -273,7 +273,7 @@ def settle(x, p_load, h_load, w_load, wind, fleet: Fleet, options: BalanceOption
     if options.exchange_loss:
         h_supply = np.where(h_exch < 0.0, h_supply - fleet.loss, h_supply)
     if options.cap_heat_by_water:
-        h_supply = np.minimum(h_supply, deliverable_heat_power(fleet, w_rate, dt))
+        h_supply = np.minimum(h_supply, deliverable_heat_power(fleet, w_rate))
     h_demand = required_heat_supply(h_load, fleet.loss) if options.gross_pipeline_loss else h_load
     d_heat = np.abs(h_supply - h_demand)
 
@@ -289,22 +289,16 @@ def fuel_cost(x, fleet: Fleet, price: FuelPrice) -> np.ndarray:
     return sum_last(gas_cost(outputs, fleet.eta, price))
 
 
-def assert_within_limits(
-    x: np.ndarray,
-    fleet: Fleet,
-    limits: ExchangeLimits,
-    dt: float = 1.0,
-    tol: float = 1e-9,
-) -> None:
-    """Raise if any of the setpoints (T, n, 8) leaves its box, or a
+def assert_within_limits(x: np.ndarray, system_cfg: SystemConfig, tol: float = 1e-9) -> None:
+    """Raise if any of the setpoints (T, 3, 8) leaves its box, or a
     cogeneration unit pumps more than its gross output; used to re-validate
     exports.  The error names the first such step, community and setpoint."""
-    lo, hi = setpoint_box(fleet, limits, dt)
+    lo, hi = system_cfg.box
     outside = ~((x >= lo - tol) & (x <= hi + tol))  # NaN is outside
     if outside.any():
         t, i, k = np.argwhere(outside)[0]
         raise ValueError(f"step {t}, community {i + 1}: {SETPOINTS[k]}={x[t, i, k]} outside [{lo[i, k]}, {hi[i, k]}]")
-    overdraw = ~(x[..., P_TP] - fleet.q * x[..., W_RATE] >= -tol)
+    overdraw = ~(x[..., P_TP] - system_cfg.fleet.q * x[..., W_RATE] >= -tol)
     if overdraw.any():
         t, i = np.argwhere(overdraw)[0]
         raise ValueError(f"step {t}, community {i + 1}: cogeneration pumping demand exceeds gross output")
@@ -352,11 +346,11 @@ class _Programs(NamedTuple):
     nv: int
 
 
-def _programs(p_load, h_load, w_load, wind, cfg: SystemConfig, dt: float) -> _Programs:
+def _programs(p_load, h_load, w_load, wind, cfg: SystemConfig) -> _Programs:
     """The programs of (T, 3) loads and wind, step-major, one per export-sign
     pattern (2**3 under ``exchange_loss``, else 1)."""
     fleet, options, price = cfg.fleet, cfg.options, cfg.price
-    box_lo, box_hi = setpoint_box(fleet, cfg.limits, dt)
+    box_lo, box_hi = cfg.box
     cap = options.cap_heat_by_water
     nv, nr = (22, 7) if cap else (19, 5)
     m, n = N_COMMUNITIES * nr + 2, N_COMMUNITIES * nv + 2
@@ -367,7 +361,7 @@ def _programs(p_load, h_load, w_load, wind, cfg: SystemConfig, dt: float) -> _Pr
     b = np.zeros((len(p_load), m))
     h_demand = required_heat_supply(h_load, fleet.loss) if options.gross_pipeline_loss else h_load
     unit = price.gas_price * price.dt / price.hhv
-    carry = deliverable_heat_power(fleet, 1.0, dt)
+    carry = deliverable_heat_power(fleet, 1.0)
     for i in range(N_COMMUNITIES):
         v, r = i * nv, i * nr
         q, b_min, b_max = fleet.q[i], box_lo[i, B_CHP], box_hi[i, B_CHP]
@@ -530,9 +524,9 @@ def _pivot(act, j, tab, beta, z, basis, basic, upper, lo, hi) -> None:
         tab[act], z[act] = block, zb
 
 
-def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig, dt: float) -> np.ndarray:
+def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig) -> np.ndarray:
     """(K, 3, 8) setpoints of program solutions, clamped into their boxes."""
-    box_lo, box_hi = setpoint_box(cfg.fleet, cfg.limits, dt)
+    box_lo, box_hi = cfg.box
     c = x[:, : N_COMMUNITIES * prog.nv].reshape(len(x), N_COMMUNITIES, prog.nv)
     p = c[..., _P]
     b = box_lo[:, B_CHP] + c[..., _HX] / p
@@ -543,7 +537,7 @@ def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig, dt: float) -> 
     return clip_box(rows, box_lo, box_hi, cfg.fleet.q)
 
 
-def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig, dt: float = 1.0) -> np.ndarray:
+def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig) -> np.ndarray:
     """Exact optimal setpoints (T, 3, 8) of each step of (T, 3) loads and wind.
 
     Per step: the least total imbalance, then the least fuel cost at it,
@@ -555,13 +549,13 @@ def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig, dt: float
     """
     p_load, h_load, w_load, wind = (np.asarray(v, dtype=float) for v in (p_load, h_load, w_load, wind))
     steps = len(p_load)
-    prog = _programs(p_load, h_load, w_load, wind, system_cfg, dt)
-    x = _setpoints(_lexicographic_simplex(prog), prog, system_cfg, dt)
+    prog = _programs(p_load, h_load, w_load, wind, system_cfg)
+    x = _setpoints(_lexicographic_simplex(prog), prog, system_cfg)
     patterns = len(x) // steps
     if patterns == 1:
         return x
     loads = [np.repeat(v, patterns, axis=0) for v in (p_load, h_load, w_load, wind)]
-    settled = settle(x, *loads, system_cfg.fleet, system_cfg.options, dt)
+    settled = settle(x, *loads, system_cfg.fleet, system_cfg.options)
     cost = fuel_cost(x, system_cfg.fleet, system_cfg.price)
     exchange = np.abs(x[..., P_EXCH]) + np.abs(x[..., H_EXCH])
     output = x[..., P_CHP] * (1.0 + x[..., B_CHP]) + x[..., P_TP] + x[..., P_GT] + x[..., H_GB]

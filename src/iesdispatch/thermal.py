@@ -63,7 +63,6 @@ def required_heat_supply(h_load_kw, loss_kw):
     return h_load_kw + loss_kw
 
 
-def deliverable_heat_power(params: PipelineParams, w_rate_m3h, dt: float = 1.0):
-    """Largest heat power (kW) the water delivered in one step can carry (floats or arrays)."""
-    mass = w_rate_m3h * dt * WATER_DENSITY
-    return transported_heat(params, mass) / dt
+def deliverable_heat_power(params: PipelineParams, w_rate_m3h):
+    """Largest heat power (kW) a water flow (m3/h) can carry (floats or arrays)."""
+    return transported_heat(params, w_rate_m3h * WATER_DENSITY)

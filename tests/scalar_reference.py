@@ -25,7 +25,7 @@ from iesdispatch.system import (
     left_sum,
     water_rate_cap,
 )
-from iesdispatch.thermal import deliverable_heat_power, pipeline_heat_loss, required_heat_supply
+from iesdispatch.thermal import WATER_DENSITY, pipeline_heat_loss, required_heat_supply, transported_heat
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,8 @@ def power_balance(
     if options.exchange_loss and decision.h_exch < 0.0:
         h_supply -= pipeline_heat_loss(cfg.pipeline)
     if options.cap_heat_by_water:
-        h_supply = min(h_supply, deliverable_heat_power(cfg.pipeline, decision.w_rate, dt))
+        # The heat the water of one step carries, spread over the step.
+        h_supply = min(h_supply, transported_heat(cfg.pipeline, decision.w_rate * dt * WATER_DENSITY) / dt)
     h_demand = loads.h_load
     if options.gross_pipeline_loss:
         h_demand = required_heat_supply(loads.h_load, pipeline_heat_loss(cfg.pipeline))

@@ -92,7 +92,7 @@ def day_totals(day):
 def oracle_of(scenario):
     """The oracle's day of a scenario, settled."""
     setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, SYS)
-    return settle_day(scenario, slice(None), setpoints, SYS, REWARD)
+    return settle_day(scenario, setpoints, SYS, REWARD)
 
 
 @pytest.fixture(scope="session")
@@ -173,7 +173,7 @@ class TestCriterion2Constraints:
         n_joint = 33_334  # 100,002 raw per-community actions in total
         raw = rng.uniform(-1.6, 1.6, size=(n_joint, N_AGENTS, ACTION_DIM))
         limits = SYS.limits
-        x = decode_joint(raw, SYS, "coordinated", 1.0)
+        x = decode_joint(raw, SYS, "coordinated")
         for i, cfg in enumerate(SYS.communities):
             d = x[:, i]
             assert (cfg.chp.p_min <= d[:, P_CHP]).all() and (d[:, P_CHP] <= cfg.chp.p_max).all()

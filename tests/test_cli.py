@@ -469,7 +469,7 @@ class TestExportContract:
         setpoints = system.oracle_day(
             scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, run_cfg.system
         )
-        self.check(rows, summary, settle_day(scenario, slice(None), setpoints, run_cfg.system, run_cfg.reward))
+        self.check(rows, summary, settle_day(scenario, setpoints, run_cfg.system, run_cfg.reward))
         step_penalties = [
             left_to_right(float(r["penalty_kw_eq"]) for r in rows if r["step"] == str(t)) for t in range(24)
         ]
@@ -485,7 +485,7 @@ class TestExportContract:
         ckpt = learner.load_checkpoint(run / "checkpoint.json")
         env = DispatchEnv(
             scenario, run_cfg.system, ckpt.reward_params,
-            mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales, dt=run_cfg.system.price.dt,
+            mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales,
         )
         self.check(
             read_csv(tmp_path / "eval" / "schedule.csv"),
@@ -617,3 +617,99 @@ class TestConfigValidation:
         assert err["error"] == "ConfigError"
         assert key in err["message"] and "nonnegative" in err["message"]
         assert not (tmp / "x").exists()
+
+
+class TestNotUtf8:
+    """A config or scenario file that is not UTF-8 fails naming the file."""
+
+    @pytest.mark.parametrize("flag", ["--config", "--scenario"])
+    def test_exit_1_naming_the_file(self, workspace, capsys, flag):
+        tmp, cfg, scenario = workspace
+        bad = {"--config": cfg, "--scenario": scenario}[flag]
+        bad.write_bytes(b"\xff" + bad.read_bytes() if flag == "--config" else bad.read_bytes() + b"\xff")
+        capsys.readouterr()
+        code = main(["oracle", "--config", str(cfg), "--scenario", str(scenario), "--out", str(tmp / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == {"--config": "ConfigError", "--scenario": "ScenarioFormatError"}[flag]
+        assert err["message"].startswith(f"{bad}: not valid UTF-8: ")
+        assert not (tmp / "o").exists()
+
+
+class TestDivergedTraining:
+    def test_writes_the_log_of_the_episodes_before_it(self, workspace, capsys, monkeypatch):
+        tmp, cfg, scenario = workspace
+        argv = ["train", "--config", str(cfg), "--scenario", str(scenario), "--seed", "1", "--out"]
+        assert main([*argv, str(tmp / "full")]) == 0
+        days = []
+        real_evaluate_day = learner.evaluate_day
+
+        def evaluate_day(*args):
+            day = real_evaluate_day(*args)
+            days.append(day)
+            if len(days) == 6:  # episode 5, the second of the second update batch
+                day.team_reward[3] = float("nan")
+            return day
+
+        monkeypatch.setattr(learner, "evaluate_day", evaluate_day)
+        capsys.readouterr()
+        assert main([*argv, str(tmp / "diverged")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "TrainingDiverged", "message": "episode 5: mean reward is nan"}
+        assert sorted(p.name for p in (tmp / "diverged").iterdir()) == ["training_log.csv"]
+        log = (tmp / "diverged" / "training_log.csv").read_text(encoding="utf-8").splitlines()
+        full = (tmp / "full" / "training_log.csv").read_text(encoding="utf-8").splitlines()
+        assert [row["episode"] for row in read_csv(tmp / "diverged" / "training_log.csv")] == ["0", "1", "2", "3", "4"]
+        assert log == full[:6]
+
+
+class TestHalfHourSteps:
+    """A 0.5 h step length, set in the config file, through every verb."""
+
+    CONFIG = SMOKE_CONFIG + "system: {price: {dt_h: 0.5}}\n"
+
+    def run_verbs(self, tmp, name):
+        cfg, scenario = tmp / "half.yaml", tmp / "scenario.csv"
+        out = tmp / name
+        common = ["--config", str(cfg), "--scenario", str(scenario)]
+        assert main(["oracle", *common, "--out", str(out / "oracle")]) == 0
+        assert main(["train", *common, "--out", str(out / "run"), "--episodes", "4", "--seed", "1"]) == 0
+        assert main(["evaluate", *common, "--checkpoint", str(out / "run" / "checkpoint.json"), "--out", str(out / "eval")]) == 0
+        return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    def test_energies_are_half_the_power_sums(self, tmp_path):
+        (tmp_path / "half.yaml").write_text(self.CONFIG, encoding="utf-8")
+        # One water load above 500 m3/h, which only the 0.5 h box (up to
+        # 1000 m3/h) can meet.
+        scenario = tmp_path / "scenario.csv"
+        assert main(["generate-scenario", "--out", str(scenario)]) == 0
+        rows = read_csv(scenario)
+        rows[0]["w_load_m3h"] = "600.0"
+        with scenario.open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+
+        artifacts = self.run_verbs(tmp_path, "a")
+        assert self.run_verbs(tmp_path, "b") == artifacts
+        largest_water_rate = {}
+        for verb, schedule, summary in (
+            ("oracle", "oracle_schedule.csv", "oracle_summary.json"),
+            ("eval", "schedule.csv", "summary.json"),
+        ):
+            rows = read_csv(tmp_path / "a" / verb / schedule)
+            totals = read_json(tmp_path / "a" / verb / summary)
+            column = {col: [float(r[col]) for r in rows] for col in cli.SCHEDULE_COLUMNS[3:]}
+            power = {
+                "wind_avail_kwh": column["wind_avail_kw"],
+                "wind_used_kwh": column["wind_used_kw"],
+                "curtailed_kwh": column["curtailed_kw"],
+                "exchange_abs_kwh": [abs(p) + abs(h) for p, h in zip(column["p_exch_kw"], column["h_exch_kw"])],
+            }
+            assert sorted(key for key in totals if key.endswith("_kwh")) == sorted(power)
+            for key, values in power.items():
+                assert totals[key] == left_to_right(values) * 0.5, (verb, key)
+            largest_water_rate[verb] = max(column["w_rate_m3h"])
+        # 500 m3 a step is 1000 m3/h over half an hour.
+        assert max(largest_water_rate.values()) <= 1000.0
+        assert largest_water_rate["oracle"] == 600.0

@@ -135,6 +135,17 @@ def test_invalid_yaml_is_a_config_error_under_either_loader(tmp_path, monkeypatc
     assert used == [getattr(yaml, loader)] * 2
 
 
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_a_file_that_is_not_utf8_is_named_under_either_loader(tmp_path, monkeypatch, loader):
+    if loader == "CSafeLoader" and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(yaml, "CSafeLoader", getattr(yaml, loader), raising=False)
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"\xfftrain: {seed: 3}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not valid UTF-8: "):
+        load_config(path)
+
+
 def test_the_libyaml_loader_is_used_where_present(tmp_path, monkeypatch):
     used = _spy_loaders(monkeypatch)
     path = tmp_path / "config.yaml"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from iesdispatch import learner
 from iesdispatch.config import load_config
-from iesdispatch.devices import ChpParams, GasUnitParams, RoCogenParams
+from iesdispatch.devices import ChpParams, FuelPrice, GasUnitParams, RoCogenParams
 from iesdispatch.env import (
     ACTION_DIM,
     EPISODE_STEPS,
@@ -54,9 +54,10 @@ from iesdispatch.thermal import PipelineParams
 OPTION_SETS = [BalanceOptions(*flags) for flags in itertools.product((False, True), repeat=3)]
 
 
-def system(kwh_per_m3: float, options: BalanceOptions, mixed: bool) -> SystemConfig:
-    """Three communities with the given water coefficient; ``mixed`` gives
-    each its own device limits, so per-community parameters cannot be mixed up."""
+def system(kwh_per_m3: float, options: BalanceOptions, mixed: bool, dt: float = 1.0) -> SystemConfig:
+    """Three communities with the given water coefficient and step length
+    (h); ``mixed`` gives each its own device limits, so per-community
+    parameters cannot be mixed up."""
     communities = []
     for i in (1, 2, 3):
         if mixed:
@@ -70,7 +71,7 @@ def system(kwh_per_m3: float, options: BalanceOptions, mixed: bool) -> SystemCon
             ))
         else:
             communities.append(CommunityConfig(id=i, ro=RoCogenParams(kwh_per_m3=kwh_per_m3)))
-    return SystemConfig(communities=tuple(communities), options=options)
+    return SystemConfig(communities=tuple(communities), price=FuelPrice(dt=dt), options=options)
 
 
 def random_actions(rng: np.random.Generator) -> np.ndarray:
@@ -132,18 +133,14 @@ class TestEvaluateDay:
         self, profile, noise_std, scenario_seed, action_seed, mode, options, kwh_per_m3, mixed, dt
     ):
         scenario = generate_scenario(ScenarioSpec(profile=profile, noise_std=noise_std, seed=scenario_seed))
-        sys_cfg = system(kwh_per_m3, options, mixed)
+        sys_cfg = system(kwh_per_m3, options, mixed, dt)
         params = RewardParams(kappa=1.5)
         actions = random_actions(np.random.default_rng(action_seed))
 
-        day = evaluate_day(scenario, actions, sys_cfg, params, mode, dt)
-        expected = [ref.evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, dt) for t in range(EPISODE_STEPS)]
+        day = evaluate_day(scenario, actions, sys_cfg, params, mode)
+        expected = [ref.evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, sys_cfg.price.dt) for t in range(EPISODE_STEPS)]
         assert_day_equals(day, expected, params)
-
-        # Any subset of the steps settles as the same rows of the day.
-        steps = [3, 17, 0]
-        part = settle_day(scenario, steps, day.setpoints[steps], sys_cfg, params, dt)
-        assert_day_equals(part, [expected[t] for t in steps], params)
+        assert day.dt == dt
 
     @pytest.mark.parametrize("shape", [(24, 3), (24, 2, 8), (23, 3, 8), (25, 3, 8)])
     def test_rejects_bad_shapes(self, shape):
@@ -174,7 +171,7 @@ class TestKernelsOnOneCommunity:
     def test_kernels_equal_the_reference(
         self, values, action, exchanges, loads, community, options, kwh_per_m3, mixed, with_limits, dt
     ):
-        sys_cfg = system(kwh_per_m3, options, mixed)
+        sys_cfg = system(kwh_per_m3, options, mixed, dt)
         cfg, limits, price = sys_cfg.communities[community], sys_cfg.limits, sys_cfg.price
         fleet = cfg.fleet
 
@@ -191,7 +188,7 @@ class TestKernelsOnOneCommunity:
 
         community_loads = ref.CommunityLoads(*loads[:3])
         for x in (clipped, decoded):
-            settled = settle(x, *loads, fleet, options, dt)
+            settled = settle(x, *loads, fleet, options)
             decision = ref.DispatchDecision(*x[0].tolist())
             assert [float(v[0]) for v in settled] == list(
                 astuple(ref.power_balance(decision, community_loads, loads[3], cfg, options, dt))
@@ -238,7 +235,7 @@ def step_by_step_collect(env, actors, critics, rng, independent, episodes):
                     values[e, k, t] = critics[k].net.forward(per_agent[k])[0][0, 0]
             else:
                 values[e, 0, t] = critics[0].net.forward(state)[0][0, 0]
-            record = ref.evaluate_step(env.scenario, t, actions[e, t], env.system_cfg, env.reward_params, env.mode, env.dt)
+            record = ref.evaluate_step(env.scenario, t, actions[e, t], env.system_cfg, env.reward_params, env.mode, env.system_cfg.price.dt)
             rewards[:, e, t] = reference_agent_rewards(record, env.reward_params) if independent else record.reward
             records.append(record)
         rows.append(LogRow(
@@ -246,7 +243,7 @@ def step_by_step_collect(env, actors, critics, rng, independent, episodes):
             mean_reward=float(np.mean([r.reward for r in records])),
             total_cost=float(left_sum(r.cost_total for r in records)),
             total_penalty=float(left_sum(r.penalty_total for r in records)),
-            curtailment_kwh=float(left_sum(r.curtailed_total for r in records)) * env.dt,
+            curtailment_kwh=float(left_sum(r.curtailed_total for r in records)) * env.system_cfg.price.dt,
         ))
 
     # The parameters stay fixed until the update, so every episode's values agree.
@@ -333,6 +330,16 @@ class TestOnePassTraining:
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, batch=48, episodes=8, discount=0.0, seed=5)
         self.check_against_the_reference(monkeypatch, env, cfg, [2, 2, 2, 2])
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_half_hour_step(self, monkeypatch, mode):
+        """The log's curtailment energy and the water box follow the
+        system's step length."""
+        scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=4))
+        sys_cfg = system(8.0, BalanceOptions(True, True, True), False, dt=0.5)
+        env = DispatchEnv(scenario, sys_cfg, RewardParams(kappa=1.5), mode)
+        cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, batch=48, episodes=8, discount=0.0, seed=5)
+        self.check_against_the_reference(monkeypatch, env, cfg, [2, 2, 2, 2])
+
     @pytest.mark.parametrize("observation", OBSERVATION_MODES)
     @pytest.mark.parametrize("mode", MODES)
     def test_discounted_advantages_and_a_partial_batch(self, monkeypatch, mode, observation):
@@ -366,8 +373,8 @@ class TestOracleRows:
         run_cfg = load_config(None, {"system": {"options": options}})
         sys_cfg, dt = run_cfg.system, run_cfg.system.price.dt
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=22))
-        setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg, dt)
-        day = settle_day(scenario, slice(None), setpoints, sys_cfg, run_cfg.reward, dt)
+        setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg)
+        day = settle_day(scenario, setpoints, sys_cfg, run_cfg.reward)
         cfgs = sys_cfg.communities
         records = []
         for t in range(EPISODE_STEPS):

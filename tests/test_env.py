@@ -141,15 +141,15 @@ class TestDecodeAction:
 
     def test_joint_decode_projects_or_masks_the_exchanges(self):
         actions = np.random.default_rng(4).uniform(-1.6, 1.6, (500, N_AGENTS, ACTION_DIM))
-        x = decode_joint(actions, SYS, "coordinated", 1.0)
+        x = decode_joint(actions, SYS, "coordinated")
         for k, bound in ((P_EXCH, LIMITS.p_max), (H_EXCH, LIMITS.h_max)):
             assert np.abs(sum_last(x[..., k])).max() < 1e-9
             assert (sum_last(np.abs(x[..., k])) <= 2.0 * bound + 1e-9).all()
-        masked = decode_joint(actions, SYS, "independent", 1.0)
+        masked = decode_joint(actions, SYS, "independent")
         assert (masked[..., P_EXCH:] == 0.0).all()
         np.testing.assert_array_equal(masked[..., :P_EXCH], x[..., :P_EXCH])
         with pytest.raises(ValueError):
-            decode_joint(actions, SYS, "solo", 1.0)
+            decode_joint(actions, SYS, "solo")
 
 
 class TestReward:

@@ -51,14 +51,14 @@ def solve_step(loads, wind):
     p_load, h_load, w_load = (np.array([[load[k] for load in loads]], dtype=float) for k in range(3))
     wind = np.array([wind], dtype=float)
     x = oracle_day(p_load, h_load, w_load, wind, SYS)
-    penalty = sum_last(settle(x, p_load, h_load, w_load, wind, SYS.fleet, SYS.options, 1.0).penalty)[0]
+    penalty = sum_last(settle(x, p_load, h_load, w_load, wind, SYS.fleet, SYS.options).penalty)[0]
     return x[0], penalty, sum_last(fuel_cost(x, SYS.fleet, SYS.price))[0]
 
 
 def solve_day(day, sys_cfg):
     """The oracle's setpoints of a scenario's day, settled and priced."""
     setpoints = oracle_day(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, sys_cfg)
-    return settle_day(day, slice(None), setpoints, sys_cfg, RewardParams())
+    return settle_day(day, setpoints, sys_cfg, RewardParams())
 
 
 class TestHandDerivedOptima:
@@ -118,7 +118,7 @@ def test_each_program_solves_as_it_would_alone(options, seed, steps):
     rng = np.random.default_rng(seed)
     scale = np.array([9000.0, 6000.0, 700.0, 4000.0])  # electric, heat, water, wind
     p_load, h_load, w_load, wind = rng.uniform(0.0, 1.0, (4, steps, 3)) * scale[:, None, None]
-    prog = _programs(p_load, h_load, w_load, wind, dataclasses.replace(SYS, options=options), 1.0)
+    prog = _programs(p_load, h_load, w_load, wind, dataclasses.replace(SYS, options=options))
     x = _lexicographic_simplex(prog)
     for k in range(len(x)):
         one = prog._replace(b=prog.b[k : k + 1], lo=prog.lo[k : k + 1], hi=prog.hi[k : k + 1])

@@ -76,6 +76,13 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioFormatError, match=r"bad\.csv: row 5"):
             load_scenario(tmp_path / "bad.csv")
 
+    def test_a_file_that_is_not_utf8_is_named(self, scenario, tmp_path):
+        path = tmp_path / "trailing-byte.csv"
+        save_scenario(scenario, path)
+        path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(ScenarioFormatError, match=r"trailing-byte\.csv: not valid UTF-8: "):
+            load_scenario(path)
+
     def test_bad_header(self, tmp_path):
         self._write(tmp_path, ["a,b,c,d,e,f"])
         with pytest.raises(ScenarioFormatError, match="header"):

@@ -56,7 +56,7 @@ def clip(x, limits=None, cfg=CFG):
 
 def balance(x, p_load, h_load, w_load, wind, options=BalanceOptions(), cfg=CFG) -> Settlement:
     """One community's settlement, as floats."""
-    return Settlement(*(float(v[0]) for v in settle(x, p_load, h_load, w_load, wind, cfg.fleet, options, 1.0)))
+    return Settlement(*(float(v[0]) for v in settle(x, p_load, h_load, w_load, wind, cfg.fleet, options)))
 
 
 def cost(x, cfg=CFG) -> float:
@@ -258,7 +258,7 @@ def oracle_step(loads, wind, sys_cfg=SYS) -> Step:
     p_load, h_load, w_load = (np.array([[load[k] for load in loads]], dtype=float) for k in range(3))
     wind = np.array([wind], dtype=float)
     x = oracle_day(p_load, h_load, w_load, wind, sys_cfg)
-    settled = settle(x, p_load, h_load, w_load, wind, sys_cfg.fleet, sys_cfg.options, 1.0)
+    settled = settle(x, p_load, h_load, w_load, wind, sys_cfg.fleet, sys_cfg.options)
     return Step(x[0], Settlement(*(v[0] for v in settled)), fuel_cost(x, sys_cfg.fleet, sys_cfg.price)[0])
 
 

@@ -77,8 +77,8 @@ class TestRequiredSupply:
 
 class TestDeliverableHeat:
     def test_matches_transported_heat_of_delivered_mass(self):
-        # 100 m3/h for one hour = 1e5 kg of water
-        assert deliverable_heat_power(PIPE, 100.0, dt=1.0) == pytest.approx(
+        # 100 m3/h carries the heat of 1e5 kg of water each hour
+        assert deliverable_heat_power(PIPE, 100.0) == pytest.approx(
             transported_heat(PIPE, 1e5), rel=1e-12
         )
 
