@@ -14,7 +14,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -65,7 +65,7 @@ SCHEDULE_COLUMNS = (
     "cost_yuan",
 )
 
-TRAIN_LOG_COLUMNS = ("episode", "mean_reward", "total_cost", "total_penalty", "curtailment_kwh")
+TRAIN_LOG_COLUMNS = tuple(f.name for f in fields(L.LogRow))
 
 
 class CheckpointMismatch(ValueError):
@@ -110,8 +110,8 @@ def summarize(day: DayEvaluation) -> dict:
 
 def write_schedule_csv(path: Path, day: DayEvaluation, system_cfg: SystemConfig) -> None:
     """Write an evaluated day's schedule, one row per step and community,
-    after re-checking every setpoint's box and every step's conservation
-    of the exchanges."""
+    after re-checking every setpoint's box, every step's conservation of
+    the exchanges and that every cell is finite."""
     x, b = day.setpoints, day.balance
     assert_within_limits(x, system_cfg)
     net = sum_last(x[..., P_EXCH:].swapaxes(-1, -2))  # (T, 2): electricity, heat
@@ -121,6 +121,10 @@ def write_schedule_csv(path: Path, day: DayEvaluation, system_cfg: SystemConfig)
     p_chp, b_chp, *rest = np.moveaxis(x, -1, 0)
     cells = np.stack([p_chp, b_chp, b_chp * p_chp, *rest, day.wind, day.wind - b.curtailed, b.curtailed,
                       b.d_elec, b.d_heat, b.d_water, b.penalty, day.cost], axis=-1)
+    bad = np.argwhere(~np.isfinite(cells))
+    if bad.size:
+        t, i, c = bad[0]
+        raise ValueError(f"step {t}, community {i + 1}: {SCHEDULE_COLUMNS[3 + c]} is {float(cells[t, i, c])}, not finite")
     rows = ([0, t, i + 1, *map(repr, row)] for t, step in enumerate(cells.tolist()) for i, row in enumerate(step))
     _write_csv(path, SCHEDULE_COLUMNS, rows)
 
@@ -134,17 +138,14 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    """Write strict JSON: a NaN or an infinity raises before the file is made."""
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def write_training_log(path: Path, log: Sequence[L.LogRow]) -> None:
-    _write_csv(path, TRAIN_LOG_COLUMNS, (
-        [row.episode, *map(repr, (row.mean_reward, row.total_cost, row.total_penalty, row.curtailment_kwh))]
-        for row in log
-    ))
+    _write_csv(path, TRAIN_LOG_COLUMNS, (map(repr, astuple(row)) for row in log))
 
 
 def write_reward_curve(path: Path, log: Sequence[L.LogRow], window: int = 50) -> None:
@@ -339,7 +340,9 @@ _EXPECTED_ERRORS = (
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Overflow is refused where it would be written; no warning precedes the JSON error.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _EXPECTED_ERRORS as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")

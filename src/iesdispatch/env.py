@@ -114,10 +114,11 @@ def _reward(cost, penalty, params: RewardParams):
 class DayEvaluation:
     """Evaluated joint actions as arrays over their steps.
 
-    ``setpoints`` (T, 3, 8) are the decoded, clipped and projected
+    ``setpoints`` (..., T, 3, 8) are the decoded, clipped and projected
     setpoints in ``system.SETPOINTS`` order, ``team_reward`` has shape
-    (T,), and ``wind``, ``cost``, ``agent_reward`` and the fields of
-    ``balance`` have shape (T, 3), one column per community in id order.
+    (..., T), ``wind`` (T, 3), and ``cost``, ``agent_reward`` and the
+    fields of ``balance`` have shape (..., T, 3), one column per community
+    in id order; the leading axes are those of the evaluated actions.
     ``dt`` is the step length in hours, the system's ``price.dt``.
     """
 
@@ -156,8 +157,8 @@ def decode_joint(actions: np.ndarray, system_cfg: SystemConfig, mode: str) -> np
 def settle_day(
     scenario: ScenarioData, setpoints: np.ndarray, system_cfg: SystemConfig, reward_params: RewardParams
 ) -> DayEvaluation:
-    """Balance, price and reward a day of setpoints (24, 3, 8) already in
-    their boxes against the scenario's loads and wind."""
+    """Balance, price and reward days of setpoints (..., 24, 3, 8) already
+    in their boxes against the scenario's loads and wind."""
     p_load, h_load, w_load, wind = (q.T for q in (scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind))
     fleet = system_cfg.fleet
     balance = settle(setpoints, p_load, h_load, w_load, wind, fleet, system_cfg.options)
@@ -180,11 +181,12 @@ def evaluate_day(
     reward_params: RewardParams,
     mode: str = "coordinated",
 ) -> DayEvaluation:
-    """Decode, project, balance, price and reward a day of joint actions
-    (24, 3, 8), all steps at once. Deterministic."""
+    """Decode, project, balance, price and reward days of joint actions
+    (..., 24, 3, 8), all steps at once; leading axes are independent days
+    over the same scenario. Deterministic."""
     actions = np.asarray(actions, dtype=float)
-    if actions.shape != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
-        raise ValueError(f"actions must have shape {(EPISODE_STEPS, N_AGENTS, ACTION_DIM)}, got {actions.shape}")
+    if actions.shape[-3:] != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
+        raise ValueError(f"actions must have shape (..., {EPISODE_STEPS}, {N_AGENTS}, {ACTION_DIM}), got {actions.shape}")
     return settle_day(scenario, decode_joint(actions, system_cfg, mode), system_cfg, reward_params)
 
 

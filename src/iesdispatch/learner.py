@@ -331,8 +331,14 @@ class TrainResult:
 
 def _policy_means(env: DispatchEnv, actors: Sequence[GaussianActor]) -> np.ndarray:
     """The actors' means (24, 3, 8) over the day's known observations, one
-    ``forward_rows`` per actor (each row equal to a batch-1 ``forward``)."""
-    return np.stack([actor.net.forward_rows(env.observations[k]) for k, actor in enumerate(actors)], axis=1)
+    ``forward`` per actor on its 24 rows, the call the update makes."""
+    return np.stack([actor.net.forward(obs)[0] for actor, obs in zip(actors, env.observations)], axis=1)
+
+
+def _critic_inputs(env: DispatchEnv) -> np.ndarray:
+    """What each critic sees at every step, (critics, 24, in): each
+    community's observations when independent, else the global state."""
+    return env.observations if env.mode == "independent" else env.states[None]
 
 
 def _collect_batch(
@@ -340,18 +346,16 @@ def _collect_batch(
     actors: list[GaussianActor],
     critics: list[Critic],
     rng: np.random.Generator,
-    independent: bool,
     episodes: range,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[LogRow]]:
     """Sample and evaluate the days of one update batch.
 
     The loads and wind do not depend on the actions, and the parameters do
     not change before the update, so every episode of the batch sees the
-    same 24 states, means and values: one forward per network, one noise
-    draw of shape (E, 24, 3, 8) (the numbers E draws of (24, 3, 8) would
-    give) and one ``evaluate_day`` per episode.  Each number equals the one
-    a step-by-step rollout would produce (see ``Mlp.forward_rows`` and
-    ``sample_action``), so training is unchanged bit for bit.
+    same 24 states, means and values: one ``forward`` per network on the
+    24 rows (the one the update's first epoch makes), one noise draw of
+    shape (E, 24, 3, 8) (the numbers E draws of (24, 3, 8) would give) and
+    one ``evaluate_day`` of the whole batch.
 
     Returns the actions (E, 24, 3, 8), their log-densities (E, 24, 3), the
     rewards (S, E, 24) of the S reward streams (the team's, or each
@@ -361,19 +365,18 @@ def _collect_batch(
     means = _policy_means(env, actors)
     log_std = np.stack([actor.clamped_log_std() for actor in actors])
     actions, log_probs = sample_action(np.broadcast_to(means, (len(episodes), *means.shape)), log_std, rng)
-    critic_inputs = env.observations if independent else [env.states]
-    values = np.stack([critic.net.forward_rows(x)[:, 0] for critic, x in zip(critics, critic_inputs)])
-    days = [evaluate_day(env.scenario, a, env.system_cfg, env.reward_params, env.mode) for a in actions]
-    rewards = np.stack([day.agent_reward.T if independent else day.team_reward[None] for day in days], axis=1)
+    values = np.stack([critic.net.forward(x)[0][:, 0] for critic, x in zip(critics, _critic_inputs(env))])
+    day = evaluate_day(env.scenario, actions, env.system_cfg, env.reward_params, env.mode)
+    rewards = np.moveaxis(day.agent_reward, -1, 0) if env.mode == "independent" else day.team_reward[None]
     rows = [
         LogRow(
             episode=episode,
-            mean_reward=float(day.team_reward.mean()),
-            total_cost=day_total(day.cost),
-            total_penalty=day_total(day.balance.penalty),
-            curtailment_kwh=day_total(day.balance.curtailed) * day.dt,
+            mean_reward=float(day.team_reward[e].mean()),
+            total_cost=day_total(day.cost[e]),
+            total_penalty=day_total(day.balance.penalty[e]),
+            curtailment_kwh=day_total(day.balance.curtailed[e]) * day.dt,
         )
-        for episode, day in zip(episodes, days)
+        for e, episode in enumerate(episodes)
     ]
     return actions, log_probs, rewards, values, rows
 
@@ -389,11 +392,11 @@ def _update(
     values: np.ndarray,
     env: DispatchEnv,
     cfg: TrainConfig,
-    independent: bool,
 ) -> None:
     """Several epochs of full-batch steps on one batch of ``_collect_batch``.
     Its E episodes saw the same 24 states, so each network runs on those 24
-    rows and its loss sums the E episodes' gradients at the output."""
+    rows and its loss sums the E episodes' gradients at the output.  Actor
+    k takes the advantages of stream k, or of the one team stream."""
     advantages, returns = gae_advantages(
         rewards, np.broadcast_to(values[:, None, :], rewards.shape), cfg.discount, cfg.gae_lambda
     )
@@ -401,27 +404,23 @@ def _update(
 
     for _ in range(cfg.epochs_per_update):
         for k in range(N_AGENTS):
-            adv = advantages[k] if independent else advantages[0]
             _, grads = actor_loss_and_grads(
-                actors[k], env.observations[k], actions[:, :, k], log_probs[:, :, k], adv, cfg.clip_eps
+                actors[k], env.observations[k], actions[:, :, k], log_probs[:, :, k],
+                advantages[k % len(advantages)], cfg.clip_eps,
             )
             clip_grads_(grads.vector, MAX_GRAD_NORM)
             actor_opts[k].step(grads.vector)
-        for ci, critic in enumerate(critics):
-            inputs = env.observations[ci] if independent else env.states
-            _, grads = critic_loss_and_grads(critic, inputs, returns[ci])
+        for critic, opt, inputs, target in zip(critics, critic_opts, _critic_inputs(env), returns):
+            _, grads = critic_loss_and_grads(critic, inputs, target)
             clip_grads_(grads.vector, MAX_GRAD_NORM)
-            critic_opts[ci].step(grads.vector)
+            opt.step(grads.vector)
 
 
-def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult:
+def _train(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     obs_dim = observation_dim(env.observation)
     actors = [GaussianActor(obs_dim, ACTION_DIM, rng) for _ in range(N_AGENTS)]
-    if independent:
-        critics = [Critic(obs_dim, rng) for _ in range(N_AGENTS)]
-    else:
-        critics = [Critic(STATE_DIM, rng)]
+    critics = [Critic(x.shape[1], rng) for x in _critic_inputs(env)]
     actor_lr = np.full_like(actors[0].net.vector, cfg.actor_lr)
     Params(actor_lr, actors[0].net.shapes)["log_std"][...] = LOG_STD_LR_MULT * cfg.actor_lr
     actor_opts = [Adam(actor.net.vector, actor_lr) for actor in actors]
@@ -434,14 +433,14 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
     per_update = math.ceil(cfg.batch / EPISODE_STEPS)
     for first in range(0, cfg.episodes, per_update):
         episodes = range(first, min(first + per_update, cfg.episodes))
-        *batch, rows = _collect_batch(env, actors, critics, rng, independent, episodes)
+        *batch, rows = _collect_batch(env, actors, critics, rng, episodes)
         for row in rows:
             try:
                 monitor.observe(row.mean_reward, row.episode)
             except TrainingDiverged as exc:
                 raise TrainingDiverged(str(exc), log) from None
             log.append(row)
-        _update(actors, critics, actor_opts, critic_opts, *batch, env, cfg, independent)
+        _update(actors, critics, actor_opts, critic_opts, *batch, env, cfg)
 
     return TrainResult(
         mode=env.mode,
@@ -457,7 +456,9 @@ def _train(env: DispatchEnv, cfg: TrainConfig, independent: bool) -> TrainResult
 
 def train_mappo(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     """Coordinated trainer: per-agent actors, one critic over the global state."""
-    return _train(env, cfg, independent=False)
+    if env.mode != "coordinated":
+        raise ValueError("train_mappo requires an environment in coordinated mode")
+    return _train(env, cfg)
 
 
 def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
@@ -468,7 +469,7 @@ def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     """
     if env.mode != "independent":
         raise ValueError("train_independent requires an environment in independent mode")
-    return _train(env, cfg, independent=True)
+    return _train(env, cfg)
 
 
 def greedy_day(env: DispatchEnv, actors: Sequence[GaussianActor]) -> DayEvaluation:

@@ -72,22 +72,6 @@ class Mlp:
         y = h2 @ self.w3 + self.b3
         return y, (x, h1, h2)
 
-    def forward_rows(self, x: np.ndarray) -> np.ndarray:
-        """Outputs (rows, out) for inputs (rows, in), each row on its own.
-
-        ``x[:, None, :] @ w`` multiplies every row as its own (1, in)
-        product, the same BLAS call ``forward`` makes for one input, so each
-        output row equals a batch-1 ``forward`` of that row bit for bit.  A
-        plain (rows, in) @ w goes through another kernel and rounds
-        differently in the last bits.
-        """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(f"input shape {x.shape} does not match (rows, {self.in_dim})")
-        h1 = np.tanh(x[:, None, :] @ self.w1 + self.b1)
-        h2 = np.tanh(h1 @ self.w2 + self.b2)
-        return (h2 @ self.w3 + self.b3)[:, 0, :]
-
     def backward(self, cache: tuple, dy: np.ndarray) -> Params:
         """Parameter gradients given the loss gradient at the output, as
         views into one fresh vector; the ``tail`` entries are left unset."""

@@ -100,6 +100,12 @@ class SystemConfig:
         ids = [c.id for c in self.communities]
         if sorted(ids) != sorted(COMMUNITY_NAMES):
             raise ValueError(f"community ids must be {sorted(COMMUNITY_NAMES)} in some order, got {ids}")
+        with np.errstate(over="ignore"):
+            lo, hi = self.box
+            overflow = ~np.isfinite(hi - lo)
+        if overflow.any():
+            i, k = np.argwhere(overflow)[0]
+            raise ValueError(f"community {ids[i]}: {SETPOINTS[k]} range [{lo[i, k]}, {hi[i, k]}] is wider than a float holds")
 
     @cached_property
     def fleet(self) -> "Fleet":

@@ -374,6 +374,20 @@ class TestExportRecheck:
             write_schedule_csv(tmp_path / "schedule.csv", day, system.default_system_config())
         assert not (tmp_path / "schedule.csv").exists()
 
+    def test_write_schedule_csv_names_a_cell_that_is_not_finite(self, tmp_path):
+        day = zero_action_day()
+        cost = day.cost.copy()
+        cost[2, 1] = float("-inf")
+        with pytest.raises(ValueError, match=r"^step 2, community 2: cost_yuan is -inf, not finite$"):
+            write_schedule_csv(tmp_path / "schedule.csv", replace(day, cost=cost), system.default_system_config())
+        assert not (tmp_path / "schedule.csv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_write_json_refuses_what_json_cannot_hold(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "summary.json", {"total_cost": value})
+        assert not (tmp_path / "summary.json").exists()
+
     @pytest.mark.parametrize("case", EXPORT_CORRUPTIONS)
     def test_evaluate_exits_1_with_a_json_error(self, workspace, capsys, monkeypatch, case):
         corrupt, word = EXPORT_CORRUPTIONS[case]
@@ -603,6 +617,29 @@ class TestConfigValidation:
         assert err == {"error": "ConfigError", "message": "system.price.gas_price_per_m3: expected a finite number, got inf"}
         assert not (tmp / "o").exists()
 
+    def test_an_overflowing_cost_writes_no_output(self, workspace, capsys):
+        """A finite gas price whose costs overflow: the first cell that is
+        not finite is named, and neither file is written."""
+        tmp, _, scenario = workspace
+        big = tmp / "big.yaml"
+        big.write_text("system:\n  price: {gas_price_per_m3: 1.0e+308}\n", encoding="utf-8")
+        code = main(["oracle", "--config", str(big), "--scenario", str(scenario), "--out", str(tmp / "o")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "step 0, community 1: cost_yuan is inf, not finite"}
+        assert list((tmp / "o").iterdir()) == []
+
+    def test_an_overflowing_setpoint_range_creates_no_output(self, workspace, capsys):
+        tmp, _, scenario = workspace
+        big = tmp / "big.yaml"
+        big.write_text("system:\n  exchange: {p_max_kw: 1.0e+308}\n", encoding="utf-8")
+        argv = ["train", "--config", str(big), "--scenario", str(scenario), "--episodes", "4", "--out", str(tmp / "x")]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("system: community 1: p_exch range [-1e+308, 1e+308] is wider")
+        assert not (tmp / "x").exists()
+
     @pytest.mark.parametrize("case", ["train-seed-option", "generator-seed-key"])
     def test_a_negative_seed_creates_no_output(self, workspace, capsys, case):
         tmp, _, scenario = workspace
@@ -647,8 +684,8 @@ class TestDivergedTraining:
         def evaluate_day(*args):
             day = real_evaluate_day(*args)
             days.append(day)
-            if len(days) == 6:  # episode 5, the second of the second update batch
-                day.team_reward[3] = float("nan")
+            if len(days) == 2:  # episode 5, the second of the second update batch
+                day.team_reward[1, 3] = float("nan")
             return day
 
         monkeypatch.setattr(learner, "evaluate_day", evaluate_day)

@@ -72,6 +72,18 @@ def test_a_non_finite_float_names_its_key(tmp_path, text, key):
         load_config(path)
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"system": {"exchange": {"p_max_kw": 1.0e308}}}, "system: community 1: p_exch range [-1e+308, 1e+308] is wider"),
+    ({"system": {"exchange": {"h_max_kw": 1.0e308}}}, "system: community 1: h_exch range [-1e+308, 1e+308] is wider"),
+    ({"system": {"price": {"dt_h": 1.0e-310}}}, "system: community 1: w_rate range [0.0, inf] is wider"),
+])
+def test_a_setpoint_range_that_overflows_is_a_config_error(overrides, message):
+    """``hi - lo`` of every setpoint box must be a float, or the action map
+    turns every setpoint into inf or nan."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)} than a float holds$"):
+        load_config(None, overrides)
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"train": {"seed": -1}}, "train: seed must be nonnegative, got -1"),
     ({"scenario": {"generator": {"seed": -3}}}, "scenario.generator: seed must be nonnegative, got -3"),

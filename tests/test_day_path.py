@@ -142,7 +142,39 @@ class TestEvaluateDay:
         assert_day_equals(day, expected, params)
         assert day.dt == dt
 
-    @pytest.mark.parametrize("shape", [(24, 3), (24, 2, 8), (23, 3, 8), (25, 3, 8)])
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_days=st.integers(1, 5),
+        profile=st.sampled_from(PROFILES),
+        scenario_seed=st.integers(0, 10_000),
+        action_seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(MODES),
+        options=st.sampled_from(OPTION_SETS),
+        mixed=st.booleans(),
+        dt=st.sampled_from([1.0, 0.5]),
+    )
+    def test_a_batch_equals_its_days_one_at_a_time(
+        self, n_days, profile, scenario_seed, action_seed, mode, options, mixed, dt
+    ):
+        scenario = generate_scenario(ScenarioSpec(profile=profile, noise_std=0.05, seed=scenario_seed))
+        sys_cfg = system(7.3, options, mixed, dt)
+        params = RewardParams(kappa=1.5)
+        rng = np.random.default_rng(action_seed)
+        actions = np.stack([random_actions(rng) for _ in range(n_days)])
+
+        batch = evaluate_day(scenario, actions, sys_cfg, params, mode)
+        for e, day_actions in enumerate(actions):
+            day = evaluate_day(scenario, day_actions, sys_cfg, params, mode)
+            for name in ("setpoints", "cost", "team_reward", "agent_reward"):
+                np.testing.assert_array_equal(getattr(batch, name)[e], getattr(day, name), err_msg=name, strict=True)
+            for name in Settlement._fields:
+                np.testing.assert_array_equal(
+                    getattr(batch.balance, name)[e], getattr(day.balance, name), err_msg=name, strict=True
+                )
+            np.testing.assert_array_equal(batch.wind, day.wind, strict=True)
+            assert batch.dt == day.dt
+
+    @pytest.mark.parametrize("shape", [(24, 3), (24, 2, 8), (23, 3, 8), (25, 3, 8), (2, 23, 3, 8)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
             evaluate_day(generate_scenario(ScenarioSpec()), np.zeros(shape), system(8.0, BalanceOptions(), False), RewardParams())
@@ -208,33 +240,35 @@ class TestDayStates:
                 np.testing.assert_array_equal(env.observations[k, t], reference_observation(state, k, observation))
 
 
-def step_by_step_collect(env, actors, critics, rng, independent, episodes):
-    """Reference collector: one transition at a time, with one batch-1
-    forward per network, one noise draw per agent and step, and the scalar
+def reference_observations(env):
+    """The day's states (24, 12) and each actor's observations (3, 24, in),
+    one division at a time."""
+    states = np.stack([reference_state(env.scenario, t, env.scales) for t in range(EPISODE_STEPS)])
+    return states, np.stack([[reference_observation(s, k, env.observation) for s in states] for k in range(N_AGENTS)])
+
+
+def step_by_step_collect(env, actors, critics, rng, episodes):
+    """Reference collector: the means and values of one ``forward`` per
+    network over the day's 24 reference observations, then one transition
+    at a time, with one noise draw per agent and step and the scalar
     reference's ``evaluate_step``, episode after episode.  The batched
     ``learner._collect_batch`` must reproduce it."""
+    independent = env.mode == "independent"
+    states, observations = reference_observations(env)
+    means = [actor.net.forward(obs)[0] for actor, obs in zip(actors, observations)]
+    critic_inputs = observations if independent else [states]
+    values = np.stack([critic.net.forward(x)[0][:, 0] for critic, x in zip(critics, critic_inputs)])
     n = len(episodes)
-    n_streams = N_AGENTS if independent else 1
     actions = np.empty((n, EPISODE_STEPS, N_AGENTS, ACTION_DIM))
     log_probs = np.empty((n, EPISODE_STEPS, N_AGENTS))
-    rewards = np.empty((n_streams, n, EPISODE_STEPS))
-    values = np.empty((n, n_streams, EPISODE_STEPS))
+    rewards = np.empty((len(values), n, EPISODE_STEPS))
     rows = []
 
     for e, episode in enumerate(episodes):
         records = []
         for t in range(EPISODE_STEPS):
-            state = reference_state(env.scenario, t, env.scales)
-            per_agent = [reference_observation(state, k, env.observation) for k in range(N_AGENTS)]
             for k in range(N_AGENTS):
-                actions[e, t, k], log_probs[e, t, k] = sample_action(
-                    actors[k].net.forward(per_agent[k])[0][0], actors[k].clamped_log_std(), rng
-                )
-            if independent:
-                for k in range(N_AGENTS):
-                    values[e, k, t] = critics[k].net.forward(per_agent[k])[0][0, 0]
-            else:
-                values[e, 0, t] = critics[0].net.forward(state)[0][0, 0]
+                actions[e, t, k], log_probs[e, t, k] = sample_action(means[k][t], actors[k].clamped_log_std(), rng)
             record = ref.evaluate_step(env.scenario, t, actions[e, t], env.system_cfg, env.reward_params, env.mode, env.system_cfg.price.dt)
             rewards[:, e, t] = reference_agent_rewards(record, env.reward_params) if independent else record.reward
             records.append(record)
@@ -245,10 +279,7 @@ def step_by_step_collect(env, actors, critics, rng, independent, episodes):
             total_penalty=float(left_sum(r.penalty_total for r in records)),
             curtailment_kwh=float(left_sum(r.curtailed_total for r in records)) * env.system_cfg.price.dt,
         ))
-
-    # The parameters stay fixed until the update, so every episode's values agree.
-    assert (values == values[0]).all()
-    return actions, log_probs, rewards, values[0], rows
+    return actions, log_probs, rewards, values, rows
 
 
 def episode_gae(rewards, values, discount, gae_lambda):
@@ -264,14 +295,13 @@ def episode_gae(rewards, values, discount, gae_lambda):
     return advantages, advantages + values
 
 
-def episode_by_episode_update(
-    actors, critics, actor_opts, critic_opts, actions, log_probs, rewards, values, env, cfg, independent
-):
+def episode_by_episode_update(actors, critics, actor_opts, critic_opts, actions, log_probs, rewards, values, env, cfg):
     """Reference update: the buffer stacked one episode at a time, the
     advantages of each episode and reward stream from ``episode_gae``,
     normalized per stream, then the epochs of full-batch steps, each
     network on the day's 24 rows with the (E, 24, ...) arrays in episode
     order."""
+    independent = env.mode == "independent"
     n = len(actions)
     agent_actions = [np.stack([actions[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
     agent_log_probs = [np.stack([log_probs[e, :, k] for e in range(n)]) for k in range(N_AGENTS)]
@@ -302,8 +332,7 @@ def episode_by_episode_update(
 
 class TestOnePassTraining:
     def check_against_the_reference(self, monkeypatch, env, cfg, batch_sizes):
-        independent = env.mode == "independent"
-        one_pass = learner._train(env, cfg, independent)
+        one_pass = learner._train(env, cfg)
         seen = []
 
         def update(*args):
@@ -312,7 +341,7 @@ class TestOnePassTraining:
 
         monkeypatch.setattr(learner, "_collect_batch", step_by_step_collect)
         monkeypatch.setattr(learner, "_update", update)
-        stepped = learner._train(env, cfg, independent)
+        stepped = learner._train(env, cfg)
 
         assert seen == batch_sizes
         assert one_pass.log == stepped.log
@@ -355,14 +384,9 @@ class TestOnePassTraining:
     def test_greedy_day_equals_the_means_stepped(self):
         env = DispatchEnv(generate_scenario(ScenarioSpec(noise_std=0.05, seed=6)), system(7.3, BalanceOptions(), True))
         result = learner.train_mappo(env, TrainConfig(batch=48, episodes=4, seed=2))
-        records = []
-        for t in range(EPISODE_STEPS):
-            state = reference_state(env.scenario, t, env.scales)
-            means = np.stack([
-                result.actors[k].net.forward(reference_observation(state, k, env.observation))[0][0]
-                for k in range(N_AGENTS)
-            ])
-            records.append(ref.evaluate_step(env.scenario, t, means, env.system_cfg, env.reward_params))
+        _, observations = reference_observations(env)
+        means = np.stack([actor.net.forward(obs)[0] for actor, obs in zip(result.actors, observations)], axis=1)
+        records = [ref.evaluate_step(env.scenario, t, means[t], env.system_cfg, env.reward_params) for t in range(EPISODE_STEPS)]
         assert_day_equals(learner.greedy_day(env, result.actors), records, env.reward_params)
 
 

@@ -301,8 +301,8 @@ class TestTrainingLoop:
         def evaluate_day(*args):
             day = real_evaluate_day(*args)
             days.append(day)
-            if len(days) == 6:
-                day.team_reward[3] = float("nan")
+            if len(days) == 2:  # the batch of episodes 4-7
+                day.team_reward[1, 3] = float("nan")
             return day
 
         monkeypatch.setattr(learner, "evaluate_day", evaluate_day)
@@ -312,6 +312,10 @@ class TestTrainingLoop:
     def test_independent_requires_independent_env(self):
         with pytest.raises(ValueError):
             train_independent(small_env(mode="coordinated"), TrainConfig(episodes=1))
+
+    def test_mappo_requires_coordinated_env(self):
+        with pytest.raises(ValueError, match="coordinated mode"):
+            train_mappo(small_env(mode="independent"), TrainConfig(episodes=1))
 
     def test_mappo_uses_one_critic_over_global_state(self):
         env = small_env()

@@ -72,23 +72,6 @@ class TestForward:
         np.testing.assert_array_equal(a.forward(x)[0], b.forward(x)[0])
 
 
-class TestForwardRows:
-    @pytest.mark.parametrize("in_dim,out_dim", [(4, 8), (12, 8), (4, 1), (12, 1)])
-    def test_each_row_equals_a_batch_one_forward(self, in_dim, out_dim):
-        rng = np.random.default_rng(0)
-        net = Mlp(in_dim, out_dim, rng=rng)
-        net.b1[:] = rng.normal(size=net.b1.shape)
-        x = rng.uniform(0.0, 1.5, (24, in_dim))
-        rows = net.forward_rows(x)
-        assert rows.shape == (24, out_dim)
-        for i in range(24):
-            np.testing.assert_array_equal(rows[i], net.forward(x[i])[0][0])
-
-    def test_rejects_wrong_width(self):
-        with pytest.raises(ValueError):
-            Mlp(4, 2, hidden=8).forward_rows(np.zeros((3, 5)))
-
-
 class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_finite_differences(self, seed):
