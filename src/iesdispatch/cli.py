@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -137,9 +138,35 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _first_non_finite(value, keys: tuple[str, ...] = ()) -> tuple[tuple[str, ...], float] | None:
+    """The key path and value of the first NaN or infinity in ``value``,
+    in the order ``write_json`` writes it."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else (keys, value)
+    if isinstance(value, dict):
+        items = sorted(value.items())  # the order of ``sort_keys``
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        found = _first_non_finite(item, (*keys, str(key)))
+        if found is not None:
+            return found
+    return None
+
+
 def write_json(path: Path, payload: dict) -> None:
-    """Write strict JSON: a NaN or an infinity raises before the file is made."""
-    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    """Write strict JSON: a NaN or an infinity raises, naming the file and
+    its key, before the file is made."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        found = _first_non_finite(payload)
+        if found is None:
+            raise
+        keys, value = found
+        raise ValueError(f"{path}: {'.'.join(keys)} is {value}, not finite") from None
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
 

@@ -46,7 +46,11 @@ LOG_STD_LR_MULT = 8.0
 RATIO_EXP_CLAMP = 20.0
 MAX_GRAD_NORM = 0.5
 ADV_EPS = 1e-8
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The trainer's networks (and so a checkpoint's) hold float32 parameters:
+# their matmuls and optimizer steps take most of a training round.  The
+# log-densities, ratios, advantages and the dispatch physics stay float64.
+NET_DTYPE = np.float32
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -179,13 +183,15 @@ class GaussianActor:
         act_dim: int = ACTION_DIM,
         rng: np.random.Generator | None = None,
         hidden: int = HIDDEN_UNITS,
+        dtype: type = np.float64,
     ) -> None:
-        self.net = Mlp(obs_dim, act_dim, hidden, rng, tail={"log_std": (act_dim,)})
+        self.net = Mlp(obs_dim, act_dim, hidden, rng, tail={"log_std": (act_dim,)}, dtype=dtype)
         self.log_std = self.net.params()["log_std"]
         self.log_std[...] = LOG_STD_INIT
 
     def clamped_log_std(self) -> np.ndarray:
-        return np.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
+        """The log-std within its bounds, in float64 for the loss math."""
+        return np.clip(self.log_std.astype(float), LOG_STD_MIN, LOG_STD_MAX)
 
     def log_probs(self, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         mean, _ = self.net.forward(obs)
@@ -203,8 +209,9 @@ class Critic:
         obs_dim: int,
         rng: np.random.Generator | None = None,
         hidden: int = HIDDEN_UNITS,
+        dtype: type = np.float64,
     ) -> None:
-        self.net = Mlp(obs_dim, 1, hidden, rng, out_gain=1.0)
+        self.net = Mlp(obs_dim, 1, hidden, rng, out_gain=1.0, dtype=dtype)
 
     def params(self) -> dict[str, np.ndarray]:
         return self.net.params()
@@ -419,8 +426,8 @@ def _update(
 def _train(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     obs_dim = observation_dim(env.observation)
-    actors = [GaussianActor(obs_dim, ACTION_DIM, rng) for _ in range(N_AGENTS)]
-    critics = [Critic(x.shape[1], rng) for x in _critic_inputs(env)]
+    actors = [GaussianActor(obs_dim, ACTION_DIM, rng, dtype=NET_DTYPE) for _ in range(N_AGENTS)]
+    critics = [Critic(x.shape[1], rng, dtype=NET_DTYPE) for x in _critic_inputs(env)]
     actor_lr = np.full_like(actors[0].net.vector, cfg.actor_lr)
     Params(actor_lr, actors[0].net.shapes)["log_std"][...] = LOG_STD_LR_MULT * cfg.actor_lr
     actor_opts = [Adam(actor.net.vector, actor_lr) for actor in actors]
@@ -583,14 +590,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise ValueError(f"{where}: critics must be a list of {n_critics} networks for mode {mode!r}")
 
     def rebuild(kind: str, cls: type, in_dim: int, k: int, blob: dict) -> GaussianActor | Critic:
-        """A ``cls`` network as wide as ``w1``, every parameter read
-        through ``_checked_array``."""
+        """A float32 ``cls`` network as wide as ``w1``, every parameter
+        read through ``_checked_array`` and refused unless each of its
+        entries is a float32 value, so none is rounded on loading."""
         who = f"{where}: {kind} {k}"
         _require(blob, ("w1",), who)
-        net = cls(in_dim, hidden=_checked_array(f"{who}.w1", blob["w1"], (in_dim, None)).shape[1])
+        hidden = _checked_array(f"{who}.w1", blob["w1"], (in_dim, None)).shape[1]
+        net = cls(in_dim, hidden=hidden, dtype=NET_DTYPE)
         _require(blob, net.params(), who)
-        for name, value in net.params().items():
-            value[...] = _checked_array(f"{who}.{name}", blob[name], value.shape)
+        for name, param in net.params().items():
+            value = _checked_array(f"{who}.{name}", blob[name], param.shape)
+            with np.errstate(over="ignore"):
+                param[...] = value
+            if not (param == value).all():
+                raise ValueError(f"{who}.{name} must hold float32 values")
         return net
 
     return Checkpoint(

@@ -1,6 +1,9 @@
 """Dense networks with hand-written backprop and a moment-adaptive optimizer.
 
-numpy only; float64 throughout so analytic gradients can be checked
+numpy only.  A network holds its parameters in one flat vector of the
+dtype it is built with, and its matmuls, gradients and optimizer state
+follow that dtype.  The trainer builds float32 networks; built directly,
+a network defaults to float64, so analytic gradients can be checked
 against central finite differences tightly.
 """
 
@@ -50,13 +53,14 @@ class Mlp:
         rng: np.random.Generator | None = None,
         out_gain: float = 0.01,
         tail: dict[str, tuple[int, ...]] | None = None,
+        dtype: type = np.float64,
     ) -> None:
         self.in_dim = in_dim
         self.out_dim = out_dim
         self.hidden = hidden
         layers = {"w1": (in_dim, hidden), "b1": (hidden,), "w2": (hidden, hidden), "b2": (hidden,)}
         self.shapes = {**layers, "w3": (hidden, out_dim), "b3": (out_dim,), **(tail or {})}
-        self.vector = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()))
+        self.vector = np.zeros(sum(math.prod(shape) for shape in self.shapes.values()), dtype=dtype)
         self.w1, self.b1, self.w2, self.b2, self.w3, self.b3 = list(self.params().values())[:6]
         if rng is not None:
             self.w1[...] = orthogonal_init(in_dim, hidden, math.sqrt(2.0), rng)
@@ -64,7 +68,7 @@ class Mlp:
             self.w3[...] = orthogonal_init(hidden, out_dim, out_gain, rng)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.atleast_2d(np.asarray(x, dtype=self.vector.dtype))
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input dimension {x.shape[1]} does not match {self.in_dim}")
         h1 = np.tanh(x @ self.w1 + self.b1)
@@ -74,8 +78,10 @@ class Mlp:
 
     def backward(self, cache: tuple, dy: np.ndarray) -> Params:
         """Parameter gradients given the loss gradient at the output, as
-        views into one fresh vector; the ``tail`` entries are left unset."""
+        views into one fresh vector of the parameters' dtype; the ``tail``
+        entries are left unset."""
         x, h1, h2 = cache
+        dy = np.asarray(dy, dtype=self.vector.dtype)
         grads = Params(np.empty_like(self.vector), self.shapes)
         np.matmul(h2.T, dy, out=grads["w3"])
         dy.sum(axis=0, out=grads["b3"])
@@ -135,8 +141,9 @@ class Adam:
 
 def clip_grads_(grad: np.ndarray, max_norm: float) -> float:
     """Scale the gradient vector in place if its norm exceeds the cap.  The
-    norm sums in numpy's own loop: a BLAS dot product splits long vectors
-    across threads, so its rounding would follow the thread count."""
+    norm sums in numpy's own loop, in the vector's dtype: a BLAS dot
+    product splits long vectors across threads, so its rounding would
+    follow the thread count."""
     norm = math.sqrt(np.einsum("i,i->", grad, grad))
     if norm > max_norm and norm > 0.0:
         grad *= max_norm / norm

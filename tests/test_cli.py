@@ -4,6 +4,7 @@ import builtins
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -387,6 +388,13 @@ class TestExportRecheck:
         with pytest.raises(ValueError):
             cli.write_json(tmp_path / "summary.json", {"total_cost": value})
         assert not (tmp_path / "summary.json").exists()
+
+    def test_write_json_names_the_file_and_the_key(self, tmp_path):
+        path = tmp_path / "summary.json"
+        payload = {"total_cost": 1.0, "per_community_cost": {"1": 2.0, "2": float("inf"), "3": float("nan")}}
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: per_community_cost\.2 is inf, not finite$"):
+            cli.write_json(path, payload)
+        assert not path.exists()
 
     @pytest.mark.parametrize("case", EXPORT_CORRUPTIONS)
     def test_evaluate_exits_1_with_a_json_error(self, workspace, capsys, monkeypatch, case):

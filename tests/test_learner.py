@@ -1,6 +1,8 @@
 """Learner tests: densities, ratios, surrogate, advantages, training loop."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,7 +253,7 @@ class TestTrainingLoop:
         cfg = TrainConfig(actor_lr=0.0, critic_lr=0.0, episodes=8, seed=3)
         result = train_mappo(env, cfg)
         fresh = np.random.default_rng(3)
-        reference = GaussianActor(4, 8, rng=fresh)
+        reference = GaussianActor(4, 8, rng=fresh, dtype=learner.NET_DTYPE)
         for name, arr in result.actors[0].params().items():
             np.testing.assert_array_equal(arr, reference.params()[name])
         rewards = [row.mean_reward for row in result.log]
@@ -308,6 +310,24 @@ class TestTrainingLoop:
         monkeypatch.setattr(learner, "evaluate_day", evaluate_day)
         with pytest.raises(TrainingDiverged, match=r"^episode 5: mean reward is nan$"):
             train_mappo(small_env(), TrainConfig(episodes=12, batch=96, seed=0))
+
+    @pytest.mark.parametrize("mode", ["coordinated", "independent"])
+    def test_networks_and_optimizer_moments_are_float32(self, monkeypatch, mode):
+        opts = []
+        real_adam = learner.Adam
+
+        def adam(*args):
+            opts.append(real_adam(*args))
+            return opts[-1]
+
+        monkeypatch.setattr(learner, "Adam", adam)
+        result = learner._train(small_env(mode), TrainConfig(episodes=8, seed=0))
+        networks = result.actors + result.critics
+        assert len(opts) == len(networks)
+        for net, opt in zip(networks, opts):
+            assert opt.params is net.net.vector
+            for array in (net.net.vector, opt.m, opt.v):
+                assert array.dtype == np.float32
 
     def test_independent_requires_independent_env(self):
         with pytest.raises(ValueError):
@@ -393,6 +413,38 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text('{"format_version": 99}')
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_a_version_1_checkpoint_is_refused(self, tmp_path):
+        """Version 1 held float64 networks; loading would round them."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"^unsupported checkpoint version 1$"):
+            load_checkpoint(path)
+
+    def test_float32_round_trip(self, tmp_path):
+        result = train_independent(small_env("independent"), TrainConfig(episodes=8, seed=5))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, result, "h1", "h2")
+        ckpt = load_checkpoint(path)
+        for loaded, trained in zip(ckpt.actors + ckpt.critics, result.actors + result.critics):
+            assert loaded.net.vector.dtype == np.float32
+            assert np.array_equal(loaded.net.vector, trained.net.vector)
+
+    @pytest.mark.parametrize("value", [0.1, 1e39, 2.0**-150], ids=["rounds", "overflows", "underflows"])
+    @pytest.mark.parametrize("kind, name", [("actors", "log_std"), ("critics", "w2")])
+    def test_a_value_that_is_not_float32_is_named(self, tmp_path, kind, name, value):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        payload = json.loads(path.read_text())
+        row = payload[kind][0][name]
+        (row[0] if isinstance(row[0], list) else row)[0] = value
+        path.write_text(json.dumps(payload))
+        message = f"checkpoint {path}: {kind[:-1]} 0.{name} must hold float32 values"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 
 

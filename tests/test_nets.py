@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iesdispatch.nets import Adam, Mlp, Params, clip_grads_, orthogonal_init
 
@@ -89,6 +91,65 @@ class TestBackward:
         analytic = net.backward(cache, dy)
         numeric = finite_difference(loss, net.params())
         assert_grads_close(analytic, numeric)
+
+
+def summand_magnitudes(net: Mlp, x: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The output and the gradients of ``net`` with every factor at its
+    magnitude and every tanh unit and derivative at its bound 1: the size
+    of the sums each entry is made of, to which its rounding error is
+    relative."""
+    a = {name: np.abs(p) for name, p in net.params().items()}
+    x, dy = np.abs(x), np.abs(dy)
+    h = np.ones((len(x), net.hidden))
+    d2 = dy @ a["w3"].T
+    d1 = d2 @ a["w2"].T
+    grads = {"w1": x.T @ d1, "b1": d1.sum(axis=0), "w2": h.T @ d2, "b2": d2.sum(axis=0), "w3": h.T @ dy, "b3": dy.sum(axis=0)}
+    return h @ a["w3"] + a["b3"], grads
+
+
+def assert_close_in_scale(actual: np.ndarray, expected: np.ndarray, scale: np.ndarray, rel: float) -> None:
+    worst = np.max(np.abs(actual - expected) / np.maximum(scale, np.finfo(float).tiny))
+    assert worst <= rel, f"relative error {worst:.2e}"
+
+
+class TestFloat32:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        in_dim=st.integers(1, 12),
+        out_dim=st.integers(1, 9),
+        hidden=st.integers(1, 130),
+        rows=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_float64_on_the_same_parameters(self, in_dim, out_dim, hidden, rows, seed):
+        """Forward and backward of a float32 network match a float64 one
+        holding the same (float32) parameters, inputs and output gradient."""
+        rng = np.random.default_rng(seed)
+        single = Mlp(in_dim, out_dim, hidden, rng, out_gain=1.0, dtype=np.float32)
+        single.vector += rng.standard_normal(single.vector.size).astype(np.float32) * np.float32(0.1)
+        double = Mlp(in_dim, out_dim, hidden)
+        double.vector[...] = single.vector
+        x = rng.standard_normal((rows, in_dim)).astype(np.float32).astype(float) * 3.0
+        dy = rng.standard_normal((rows, out_dim)).astype(np.float32).astype(float)
+
+        y32, cache32 = single.forward(x)
+        y64, cache64 = double.forward(x)
+        y_scale, grad_scales = summand_magnitudes(double, x, dy)
+        assert y32.dtype == np.float32 and y64.dtype == np.float64
+        assert_close_in_scale(y32, y64, y_scale, 1e-4)
+        g32, g64 = single.backward(cache32, dy), double.backward(cache64, dy)
+        assert g32.vector.dtype == np.float32
+        for name in g64:
+            assert_close_in_scale(g32[name], g64[name], grad_scales[name], 1e-4)
+
+    def test_adam_and_clip_keep_the_vector_dtype(self):
+        net = Mlp(4, 3, hidden=6, rng=np.random.default_rng(0), dtype=np.float32)
+        opt = Adam(net.vector, np.full_like(net.vector, 1e-3))
+        grad = np.ones_like(net.vector)
+        clip_grads_(grad, 0.5)
+        opt.step(grad)
+        for array in (grad, net.vector, opt.m, opt.v, *opt._scratch):
+            assert array.dtype == np.float32
 
 
 class TestOrthogonalInit:
