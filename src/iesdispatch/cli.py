@@ -246,8 +246,9 @@ def _evaluate_checkpoint(
         raise CheckpointMismatch(
             f"checkpoint {checkpoint_path} was trained under a different system configuration"
         )
+    # The hash covers env.reward, so cfg.reward is the reward the policy was trained under.
     env = DispatchEnv(
-        scenario, cfg.system, ckpt.reward_params, mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales
+        scenario, cfg.system, cfg.reward, mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales
     )
     return L.greedy_day(env, ckpt.actors)
 

@@ -49,9 +49,6 @@ EPISODE_STEPS = N_STEPS
 MODES = ("coordinated", "independent")
 OBSERVATION_MODES = ("own", "full")
 
-# State layout: four entries per community, communities in id order.
-_QUANTITIES = ("p_load", "h_load", "w_load", "p_wind")
-
 
 @dataclass(frozen=True)
 class RewardParams:
@@ -81,9 +78,8 @@ def compute_scales(scenario: ScenarioData) -> np.ndarray:
     profiles stay well defined.  Persist these with any trained policy so
     evaluation sees the same scaling.
     """
-    scales = np.stack([scenario.column(f"{q}_kw" if q != "w_load" else "w_load_m3h").max(axis=1)
-                       for q in _QUANTITIES], axis=1)
-    return np.maximum(scales, 1.0)
+    raw = np.stack([scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind], axis=2)
+    return np.maximum(raw.max(axis=1), 1.0)
 
 
 def encode_day(scenario: ScenarioData, scales: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -29,7 +29,6 @@ from .env import (
     STATE_DIM,
     DayEvaluation,
     DispatchEnv,
-    RewardParams,
     day_total,
     evaluate_day,
     observation_dim,
@@ -46,7 +45,7 @@ LOG_STD_LR_MULT = 8.0
 RATIO_EXP_CLAMP = 20.0
 MAX_GRAD_NORM = 0.5
 ADV_EPS = 1e-8
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # The trainer's networks (and so a checkpoint's) hold float32 parameters:
 # their matmuls and optimizer steps take most of a training round.  The
 # log-densities, ratios, advantages and the dispatch physics stay float64.
@@ -331,8 +330,6 @@ class TrainResult:
     actors: list[GaussianActor]
     critics: list[Critic]
     scales: np.ndarray
-    reward_params: RewardParams
-    cfg: TrainConfig
     log: list[LogRow]
 
 
@@ -455,8 +452,6 @@ def _train(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
         actors=actors,
         critics=critics,
         scales=env.scales,
-        reward_params=env.reward_params,
-        cfg=cfg,
         log=log,
     )
 
@@ -496,10 +491,8 @@ class Checkpoint:
     observation: str
     config_hash: str
     scenario_hash: str
-    reward_params: RewardParams
     scales: np.ndarray
     actors: list[GaussianActor]
-    critics: list[Critic]
 
 
 def _arrays_to_lists(params: dict[str, np.ndarray]) -> dict[str, list]:
@@ -513,15 +506,12 @@ def save_checkpoint(path: str | Path, result: TrainResult, config_hash: str, sce
         "observation": result.observation,
         "config_hash": config_hash,
         "scenario_hash": scenario_hash,
-        "reward": asdict(result.reward_params),
         "scales": result.scales.tolist(),
         "actors": [_arrays_to_lists(actor.params()) for actor in result.actors],
-        "critics": [_arrays_to_lists(critic.params()) for critic in result.critics],
     }
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")), encoding="utf-8")
 
 
 def _require(blob: dict, keys, where: str) -> None:
@@ -560,43 +550,28 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     version = payload.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    _require(
-        payload,
-        ("mode", "observation", "config_hash", "scenario_hash", "reward", "scales", "actors", "critics"),
-        where,
-    )
+    _require(payload, ("mode", "observation", "config_hash", "scenario_hash", "scales", "actors"), where)
     mode, observation = payload["mode"], payload["observation"]
     if mode not in MODES:
         raise ValueError(f"{where}: mode must be one of {MODES}, got {mode!r}")
     if observation not in OBSERVATION_MODES:
         raise ValueError(f"{where}: observation must be one of {OBSERVATION_MODES}, got {observation!r}")
-    reward = payload["reward"]
-    _require(reward, ("z", "u", "kappa"), f"{where}: reward")
-    for key in ("z", "u", "kappa"):
-        value = reward[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ValueError(f"{where}: reward.{key} must be a finite number, got {value!r}")
     scales = _checked_array(f"{where}: scales", payload["scales"], (N_AGENTS, STATE_DIM // N_AGENTS))
     if not (scales > 0.0).all():
         raise ValueError(f"{where}: scales must be positive")
-    independent = mode == "independent"
     obs_dim = observation_dim(observation)
-    critic_dim = obs_dim if independent else STATE_DIM
-    n_critics = N_AGENTS if independent else 1
-    actors, critics = payload["actors"], payload["critics"]
+    actors = payload["actors"]
     if not isinstance(actors, list) or len(actors) != N_AGENTS:
         raise ValueError(f"{where}: actors must be a list of {N_AGENTS} networks")
-    if not isinstance(critics, list) or len(critics) != n_critics:
-        raise ValueError(f"{where}: critics must be a list of {n_critics} networks for mode {mode!r}")
 
-    def rebuild(kind: str, cls: type, in_dim: int, k: int, blob: dict) -> GaussianActor | Critic:
-        """A float32 ``cls`` network as wide as ``w1``, every parameter
-        read through ``_checked_array`` and refused unless each of its
-        entries is a float32 value, so none is rounded on loading."""
-        who = f"{where}: {kind} {k}"
+    def rebuild(k: int, blob: dict) -> GaussianActor:
+        """A float32 actor as wide as ``w1``, every parameter read through
+        ``_checked_array`` and refused unless each of its entries is a
+        float32 value, so none is rounded on loading."""
+        who = f"{where}: actor {k}"
         _require(blob, ("w1",), who)
-        hidden = _checked_array(f"{who}.w1", blob["w1"], (in_dim, None)).shape[1]
-        net = cls(in_dim, hidden=hidden, dtype=NET_DTYPE)
+        hidden = _checked_array(f"{who}.w1", blob["w1"], (obs_dim, None)).shape[1]
+        net = GaussianActor(obs_dim, hidden=hidden, dtype=NET_DTYPE)
         _require(blob, net.params(), who)
         for name, param in net.params().items():
             value = _checked_array(f"{who}.{name}", blob[name], param.shape)
@@ -611,8 +586,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         observation=observation,
         config_hash=payload["config_hash"],
         scenario_hash=payload["scenario_hash"],
-        reward_params=RewardParams(z=reward["z"], u=reward["u"], kappa=reward["kappa"]),
         scales=scales,
-        actors=[rebuild("actor", GaussianActor, obs_dim, k, blob) for k, blob in enumerate(actors)],
-        critics=[rebuild("critic", Critic, critic_dim, k, blob) for k, blob in enumerate(critics)],
+        actors=[rebuild(k, blob) for k, blob in enumerate(actors)],
     )

@@ -50,10 +50,6 @@ class ScenarioData:
             if np.any(arr < 0.0):
                 raise ScenarioFormatError(f"{name} contains negative values")
 
-    def column(self, name: str) -> np.ndarray:
-        return {"p_load_kw": self.p_load, "h_load_kw": self.h_load,
-                "w_load_m3h": self.w_load, "p_wind_kw": self.p_wind}[name]
-
 
 def load_scenario(path: str | Path) -> ScenarioData:
     """Read and validate a scenario CSV.

@@ -79,11 +79,6 @@ class CommunityConfig:
     def name(self) -> str:
         return COMMUNITY_NAMES[self.id]
 
-    @cached_property
-    def fleet(self) -> "Fleet":
-        """This community's parameters as the dispatch kernels read them."""
-        return fleet_of((self,))
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -97,19 +92,20 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if len(self.communities) != N_COMMUNITIES:
             raise ValueError(f"exactly {N_COMMUNITIES} communities required, got {len(self.communities)}")
-        ids = [c.id for c in self.communities]
-        if sorted(ids) != sorted(COMMUNITY_NAMES):
-            raise ValueError(f"community ids must be {sorted(COMMUNITY_NAMES)} in some order, got {ids}")
+        # The kernels, the scenario and the schedule index community i + 1 by position i.
+        for i, community in enumerate(self.communities):
+            if community.id != i + 1:
+                raise ValueError(f"communities[{i}]: id must be {i + 1}, got {community.id}")
         with np.errstate(over="ignore"):
             lo, hi = self.box
             overflow = ~np.isfinite(hi - lo)
         if overflow.any():
             i, k = np.argwhere(overflow)[0]
-            raise ValueError(f"community {ids[i]}: {SETPOINTS[k]} range [{lo[i, k]}, {hi[i, k]}] is wider than a float holds")
+            raise ValueError(f"community {i + 1}: {SETPOINTS[k]} range [{lo[i, k]}, {hi[i, k]}] is wider than a float holds")
 
     @cached_property
     def fleet(self) -> "Fleet":
-        """The communities' parameters as the dispatch kernels read them, in config order."""
+        """The communities' parameters as the dispatch kernels read them, in id order."""
         return fleet_of(self.communities)
 
     @cached_property

@@ -185,15 +185,11 @@ class TestTrainEvaluate:
 CHECKPOINT_CORRUPTIONS = {
     "missing-key": (lambda c: c.pop("scales"), "scales"),
     "two-actors": (lambda c: c["actors"].pop(), "actors"),
-    "two-critics": (lambda c: c["critics"].append(c["critics"][0]), "critics"),
     "actor-input-width": (lambda c: c["actors"][1]["w1"].pop(), "actor 1"),
-    "critic-input-width": (lambda c: c["critics"][0]["w1"].pop(), "critic 0"),
     "scales-shape": (lambda c: c.update(scales=[1.0, 2.0]), "scales"),
-    "reward-not-a-number": (lambda c: c["reward"].update(z="x"), "reward.z"),
     "actors-not-a-list": (lambda c: c.update(actors=3), "actors"),
     "w1-not-an-array": (lambda c: c["actors"][0].update(w1={}), "actor 0.w1"),
     "log_std-not-a-number": (lambda c: c["actors"][2].update(log_std="x"), "actor 2.log_std"),
-    "critic-b1-not-a-number": (lambda c: c["critics"][0].update(b1="x"), "critic 0.b1"),
     "nonfinite-weights": (lambda c: c["actors"][1]["w2"][0].__setitem__(0, float("nan")), "actor 1.w2"),
 }
 
@@ -506,7 +502,7 @@ class TestExportContract:
         ]) == 0
         ckpt = learner.load_checkpoint(run / "checkpoint.json")
         env = DispatchEnv(
-            scenario, run_cfg.system, ckpt.reward_params,
+            scenario, run_cfg.system, run_cfg.reward,
             mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales,
         )
         self.check(

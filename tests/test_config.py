@@ -84,6 +84,16 @@ def test_a_setpoint_range_that_overflows_is_a_config_error(overrides, message):
         load_config(None, overrides)
 
 
+def test_communities_out_of_id_order_are_a_config_error(tmp_path):
+    """The kernels read community i + 1 at position i, as the scenario and
+    the schedule do: listed out of order, one community's fleet would
+    dispatch another's loads."""
+    path = tmp_path / "config.yaml"
+    path.write_text("system: {communities: [{id: 2, chp: {p_max_kw: 2000.0}}, {id: 1}, {}]}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{re.escape('system: communities[0]: id must be 1, got 2')}$"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"train": {"seed": -1}}, "train: seed must be nonnegative, got -1"),
     ({"scenario": {"generator": {"seed": -3}}}, "scenario.generator: seed must be nonnegative, got -3"),

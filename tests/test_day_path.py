@@ -41,6 +41,7 @@ from iesdispatch.system import (
     SystemConfig,
     affine_setpoints,
     clip_box,
+    fleet_of,
     fuel_cost,
     left_sum,
     oracle_day,
@@ -205,7 +206,7 @@ class TestKernelsOnOneCommunity:
     ):
         sys_cfg = system(kwh_per_m3, options, mixed, dt)
         cfg, limits, price = sys_cfg.communities[community], sys_cfg.limits, sys_cfg.price
-        fleet = cfg.fleet
+        fleet = fleet_of((cfg,))
 
         lo, hi = setpoint_box(fleet, limits if with_limits else None, dt)
         clipped = clip_box(np.array([values]), lo, hi, fleet.q)

@@ -29,6 +29,7 @@ from iesdispatch.system import (
     affine_setpoints,
     clip_box,
     default_system_config,
+    fleet_of,
     setpoint_box,
     sum_last,
 )
@@ -45,7 +46,7 @@ def scenario():
 
 def decode(action):
     """One community's action decoded into its box, exchanges not projected."""
-    fleet = CFG.fleet
+    fleet = fleet_of((CFG,))
     lo, hi = setpoint_box(fleet, LIMITS, 1.0)
     return clip_box(affine_setpoints(np.asarray([action], dtype=float), lo, hi), lo, hi, fleet.q)[0]
 
@@ -134,7 +135,7 @@ class TestDecodeAction:
         assert decode(np.full(ACTION_DIM, 9.0))[P_CHP] == 5000.0
 
     def test_affine_map_is_bijective_on_box(self):
-        lo, hi = setpoint_box(CFG.fleet, LIMITS, 1.0)
+        lo, hi = setpoint_box(fleet_of((CFG,)), LIMITS, 1.0)
         actions = np.random.default_rng(0).uniform(-1.0, 1.0, (100, 1, ACTION_DIM))
         recovered = 2.0 * (affine_setpoints(actions, lo, hi) - lo) / (hi - lo) - 1.0
         np.testing.assert_allclose(recovered, actions, atol=1e-12)

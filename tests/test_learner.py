@@ -382,8 +382,8 @@ class TestFlatParameters:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, result, "h1", "h2")
         ckpt = load_checkpoint(path)
-        assert_params_view_the_vector(ckpt.actors + ckpt.critics)
-        for loaded, trained in zip(ckpt.actors + ckpt.critics, result.actors + result.critics):
+        assert_params_view_the_vector(ckpt.actors)
+        for loaded, trained in zip(ckpt.actors, result.actors, strict=True):
             np.testing.assert_array_equal(loaded.net.vector, trained.net.vector)
 
 
@@ -425,25 +425,43 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match=r"^unsupported checkpoint version 1$"):
             load_checkpoint(path)
 
+    def test_a_version_2_checkpoint_is_refused(self, tmp_path):
+        """Version 2 also held the critics and the reward parameters."""
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 2
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"^unsupported checkpoint version 2$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("mode", ["coordinated", "independent"])
+    def test_a_checkpoint_holds_only_what_evaluation_reads(self, tmp_path, mode):
+        """The critics serve only training; the reward is in the config the hash matches."""
+        path = tmp_path / "ckpt.json"
+        train = train_independent if mode == "independent" else train_mappo
+        save_checkpoint(path, train(small_env(mode), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        assert set(json.loads(path.read_text())) == {
+            "format_version", "mode", "observation", "config_hash", "scenario_hash", "scales", "actors",
+        }
+
     def test_float32_round_trip(self, tmp_path):
         result = train_independent(small_env("independent"), TrainConfig(episodes=8, seed=5))
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, result, "h1", "h2")
         ckpt = load_checkpoint(path)
-        for loaded, trained in zip(ckpt.actors + ckpt.critics, result.actors + result.critics):
+        for loaded, trained in zip(ckpt.actors, result.actors, strict=True):
             assert loaded.net.vector.dtype == np.float32
             assert np.array_equal(loaded.net.vector, trained.net.vector)
 
     @pytest.mark.parametrize("value", [0.1, 1e39, 2.0**-150], ids=["rounds", "overflows", "underflows"])
-    @pytest.mark.parametrize("kind, name", [("actors", "log_std"), ("critics", "w2")])
-    def test_a_value_that_is_not_float32_is_named(self, tmp_path, kind, name, value):
+    def test_a_value_that_is_not_float32_is_named(self, tmp_path, value):
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
         payload = json.loads(path.read_text())
-        row = payload[kind][0][name]
-        (row[0] if isinstance(row[0], list) else row)[0] = value
+        payload["actors"][0]["log_std"][0] = value
         path.write_text(json.dumps(payload))
-        message = f"checkpoint {path}: {kind[:-1]} 0.{name} must hold float32 values"
+        message = f"checkpoint {path}: actor 0.log_std must hold float32 values"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_checkpoint(path)
 

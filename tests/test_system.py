@@ -26,6 +26,7 @@ from iesdispatch.system import (
     SystemConfig,
     clip_box,
     default_system_config,
+    fleet_of,
     fuel_cost,
     oracle_day,
     project_rows,
@@ -50,17 +51,18 @@ def make_row(**kw) -> np.ndarray:
 
 
 def clip(x, limits=None, cfg=CFG):
-    lo, hi = setpoint_box(cfg.fleet, limits, 1.0)
-    return clip_box(x, lo, hi, cfg.fleet.q)
+    fleet = fleet_of((cfg,))
+    lo, hi = setpoint_box(fleet, limits, 1.0)
+    return clip_box(x, lo, hi, fleet.q)
 
 
 def balance(x, p_load, h_load, w_load, wind, options=BalanceOptions(), cfg=CFG) -> Settlement:
     """One community's settlement, as floats."""
-    return Settlement(*(float(v[0]) for v in settle(x, p_load, h_load, w_load, wind, cfg.fleet, options)))
+    return Settlement(*(float(v[0]) for v in settle(x, p_load, h_load, w_load, wind, fleet_of((cfg,)), options)))
 
 
 def cost(x, cfg=CFG) -> float:
-    return float(fuel_cost(x, cfg.fleet, PRICE)[0])
+    return float(fuel_cost(x, fleet_of((cfg,)), PRICE)[0])
 
 
 class TestClipBox:
