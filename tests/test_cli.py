@@ -191,6 +191,10 @@ CHECKPOINT_CORRUPTIONS = {
     "w1-not-an-array": (lambda c: c["actors"][0].update(w1={}), "actor 0.w1"),
     "log_std-not-a-number": (lambda c: c["actors"][2].update(log_std="x"), "actor 2.log_std"),
     "nonfinite-weights": (lambda c: c["actors"][1]["w2"][0].__setitem__(0, float("nan")), "actor 1.w2"),
+    "unknown-mode": (lambda c: c.update(mode="centralized"), "mode must be one of"),
+    "unknown-observation": (lambda c: c.update(observation="global"), "observation must be one of"),
+    "scale-zero": (lambda c: c["scales"][2].__setitem__(1, 0.0), "scales must be positive"),
+    "scale-nonfinite": (lambda c: c["scales"][0].__setitem__(0, float("inf")), "scales"),
 }
 
 
