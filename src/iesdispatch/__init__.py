@@ -9,15 +9,15 @@ from .devices import (
     ro_osmotic_pressure,
     ro_specific_energy,
 )
-from .env import DayEvaluation, DispatchEnv, RewardParams, evaluate_day, settle_day
+from .env import DayEvaluation, DispatchEnv, evaluate_day, settle_day
 from .learner import (
+    RewardParams,
     TrainConfig,
     TrainingDiverged,
     TrainResult,
     gae_advantages,
     greedy_day,
-    train_independent,
-    train_mappo,
+    train,
 )
 from .scenario import ScenarioData, ScenarioSpec, generate_scenario, load_scenario, save_scenario
 from .system import (

@@ -224,11 +224,10 @@ def cmd_generate_scenario(args) -> int:
 def cmd_train(args) -> int:
     cfg = _config_with_cli(args)
     scenario = _resolve_scenario(cfg, args.scenario)
-    env = DispatchEnv(scenario, cfg.system, cfg.reward, mode=cfg.mode, observation=cfg.observation)
+    env = DispatchEnv(scenario, cfg.system, mode=cfg.mode, observation=cfg.observation)
     out = _out_dir(args)
-    train = L.train_independent if cfg.mode == "independent" else L.train_mappo
     try:
-        result = train(env, cfg.train)
+        result = L.train(env, cfg.train, cfg.reward)
     except L.TrainingDiverged as exc:
         write_training_log(out / "training_log.csv", exc.log)
         raise
@@ -246,10 +245,7 @@ def _evaluate_checkpoint(
         raise CheckpointMismatch(
             f"checkpoint {checkpoint_path} was trained under a different system configuration"
         )
-    # The hash covers env.reward, so cfg.reward is the reward the policy was trained under.
-    env = DispatchEnv(
-        scenario, cfg.system, cfg.reward, mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales
-    )
+    env = DispatchEnv(scenario, cfg.system, mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales)
     return L.greedy_day(env, ckpt.actors)
 
 
@@ -300,7 +296,7 @@ def cmd_oracle(args) -> int:
     scenario = _resolve_scenario(cfg, args.scenario)
     out = _out_dir(args)
     setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, cfg.system)
-    day = settle_day(scenario, setpoints, cfg.system, cfg.reward)
+    day = settle_day(scenario, setpoints, cfg.system)
     write_schedule_csv(out / "oracle_schedule.csv", day, cfg.system)
     infeasible = np.flatnonzero(sum_last(day.balance.penalty) > FEASIBLE_TOL).tolist()
     ids = {"infeasible_steps": infeasible, "scenario_hash": scenario_hash(scenario)}
@@ -318,17 +314,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, scenario=True):
         p.add_argument("--config", default=None, help="YAML configuration file (defaults ship built in)")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
         if scenario:
             p.add_argument("--scenario", default=None, help="scenario CSV path (overrides config)")
 
     p_gen = sub.add_parser("generate-scenario", help="write a synthetic 72-row scenario CSV")
     add_common(p_gen, scenario=False)
+    p_gen.add_argument("--seed", type=int, default=None, help="override the configured scenario seed")
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.set_defaults(func=cmd_generate_scenario)
 
     p_train = sub.add_parser("train", help="train a dispatch policy")
     add_common(p_train)
+    p_train.add_argument("--seed", type=int, default=None, help="override the configured training seed")
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--mode", choices=("coordinated", "independent"), default=None)
     p_train.add_argument("--episodes", type=int, default=None, help="override training episodes")

@@ -21,8 +21,8 @@ from typing import Any
 import yaml
 
 from .devices import ChpParams, FuelPrice, GasUnitParams, RoCogenParams
-from .env import MODES, OBSERVATION_MODES, RewardParams
-from .learner import TrainConfig
+from .env import MODES, OBSERVATION_MODES
+from .learner import RewardParams, TrainConfig
 from .scenario import ScenarioSpec
 from .system import ExchangeLimits, SystemConfig, default_system_config
 from .thermal import PipelineParams

@@ -5,11 +5,12 @@ communities; each community is an agent holding an 8-entry action in
 [-1, 1] that maps affinely onto its physical setpoints.  No action
 changes the loads or the wind, so an episode is 24 known contexts and
 needs no stateful step loop: ``evaluate_day`` decodes a day of joint
-actions, projects the exchanges, evaluates balances and fuel cost and
-returns the rewards of every step at once, through the array kernels of
-``system``; ``settle_day`` does the same for setpoints already in their
-boxes.  Everything here is a pure function or an immutable value, safe
-to share between concurrent callers.
+actions, projects the exchanges and evaluates the balances and fuel cost
+of every step at once, through the array kernels of ``system``;
+``settle_day`` does the same for setpoints already in their boxes.  The
+trainer (``learner``) turns these costs and imbalances into its reward.
+Everything here is a pure function or an immutable value, safe to share
+between concurrent callers.
 
 Action layout per agent (all in [-1, 1]):
   0 CHP electric output      4 gas-turbine output
@@ -50,27 +51,6 @@ MODES = ("coordinated", "independent")
 OBSERVATION_MODES = ("own", "full")
 
 
-@dataclass(frozen=True)
-class RewardParams:
-    """Shared reward: u - (cost + kappa * total imbalance) / z.
-
-    ``kappa`` converts the kW-equivalent imbalance into currency per step;
-    ``z`` scales the sum into a convenient range and ``u`` keeps the
-    reward positive near good dispatches, which also makes it an upper
-    bound on any attainable reward.
-    """
-
-    z: float = 1e5
-    u: float = 10.0
-    kappa: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.z <= 0.0:
-            raise ValueError(f"z must be positive, got {self.z}")
-        if self.kappa < 0.0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-
-
 def compute_scales(scenario: ScenarioData) -> np.ndarray:
     """Per-community, per-quantity normalization scales (3, 4).
 
@@ -102,19 +82,15 @@ def observation_dim(observation: str) -> int:
     return STATE_DIM if observation == "full" else 4
 
 
-def _reward(cost, penalty, params: RewardParams):
-    return params.u - (cost + params.kappa * penalty) / params.z
-
-
 @dataclass(frozen=True)
 class DayEvaluation:
     """Evaluated joint actions as arrays over their steps.
 
     ``setpoints`` (..., T, 3, 8) are the decoded, clipped and projected
-    setpoints in ``system.SETPOINTS`` order, ``team_reward`` has shape
-    (..., T), ``wind`` (T, 3), and ``cost``, ``agent_reward`` and the
-    fields of ``balance`` have shape (..., T, 3), one column per community
-    in id order; the leading axes are those of the evaluated actions.
+    setpoints in ``system.SETPOINTS`` order, ``wind`` has shape (T, 3),
+    and ``cost`` and the fields of ``balance`` have shape (..., T, 3), one
+    column per community in id order; the leading axes are those of the
+    evaluated actions.
     ``dt`` is the step length in hours, the system's ``price.dt``.
     """
 
@@ -122,8 +98,6 @@ class DayEvaluation:
     wind: np.ndarray
     balance: Settlement
     cost: np.ndarray
-    team_reward: np.ndarray
-    agent_reward: np.ndarray
     dt: float
 
 
@@ -150,40 +124,30 @@ def decode_joint(actions: np.ndarray, system_cfg: SystemConfig, mode: str) -> np
     return x
 
 
-def settle_day(
-    scenario: ScenarioData, setpoints: np.ndarray, system_cfg: SystemConfig, reward_params: RewardParams
-) -> DayEvaluation:
-    """Balance, price and reward days of setpoints (..., 24, 3, 8) already
-    in their boxes against the scenario's loads and wind."""
+def settle_day(scenario: ScenarioData, setpoints: np.ndarray, system_cfg: SystemConfig) -> DayEvaluation:
+    """Balance and price days of setpoints (..., 24, 3, 8) already in
+    their boxes against the scenario's loads and wind."""
     p_load, h_load, w_load, wind = (q.T for q in (scenario.p_load, scenario.h_load, scenario.w_load, scenario.p_wind))
     fleet = system_cfg.fleet
-    balance = settle(setpoints, p_load, h_load, w_load, wind, fleet, system_cfg.options)
-    cost = fuel_cost(setpoints, fleet, system_cfg.price)
     return DayEvaluation(
         setpoints=setpoints,
         wind=wind,
-        balance=balance,
-        cost=cost,
-        team_reward=_reward(sum_last(cost), sum_last(balance.penalty), reward_params),
-        agent_reward=_reward(cost, balance.penalty, reward_params),
+        balance=settle(setpoints, p_load, h_load, w_load, wind, fleet, system_cfg.options),
+        cost=fuel_cost(setpoints, fleet, system_cfg.price),
         dt=system_cfg.price.dt,
     )
 
 
 def evaluate_day(
-    scenario: ScenarioData,
-    actions: np.ndarray,
-    system_cfg: SystemConfig,
-    reward_params: RewardParams,
-    mode: str = "coordinated",
+    scenario: ScenarioData, actions: np.ndarray, system_cfg: SystemConfig, mode: str = "coordinated"
 ) -> DayEvaluation:
-    """Decode, project, balance, price and reward days of joint actions
+    """Decode, project, balance and price days of joint actions
     (..., 24, 3, 8), all steps at once; leading axes are independent days
     over the same scenario. Deterministic."""
     actions = np.asarray(actions, dtype=float)
     if actions.shape[-3:] != (EPISODE_STEPS, N_AGENTS, ACTION_DIM):
         raise ValueError(f"actions must have shape (..., {EPISODE_STEPS}, {N_AGENTS}, {ACTION_DIM}), got {actions.shape}")
-    return settle_day(scenario, decode_joint(actions, system_cfg, mode), system_cfg, reward_params)
+    return settle_day(scenario, decode_joint(actions, system_cfg, mode), system_cfg)
 
 
 class DispatchEnv:
@@ -198,7 +162,6 @@ class DispatchEnv:
         self,
         scenario: ScenarioData,
         system_cfg: SystemConfig,
-        reward_params: RewardParams = RewardParams(),
         mode: str = "coordinated",
         observation: str = "own",
         scales: np.ndarray | None = None,
@@ -209,7 +172,6 @@ class DispatchEnv:
             raise ValueError(f"observation must be one of {OBSERVATION_MODES}, got {observation!r}")
         self.scenario = scenario
         self.system_cfg = system_cfg
-        self.reward_params = reward_params
         self.mode = mode
         self.observation = observation
         self.scales = compute_scales(scenario) if scales is None else np.asarray(scales, dtype=float)

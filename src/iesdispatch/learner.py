@@ -1,13 +1,13 @@
 """Policy optimization for the dispatch environment, written from scratch.
 
 Per-agent diagonal-Gaussian actors over the 8-entry action box, trained
-with a clipped-surrogate objective on generalized-advantage estimates.
-Two trainers share the machinery: the coordinated one keeps one critic
-over the global state for all agents (centralized training, decentralized
-execution), the independent one keeps a fully separate actor-critic pair
-per community with exchanges masked off in the environment and each
-community optimizing its own cost.  Single-worker and fully deterministic
-for a fixed seed.
+with a clipped-surrogate objective on generalized-advantage estimates of
+the trainer's reward.  The environment's mode lays out the critics: a
+coordinated environment gets one critic over the global state for all
+agents, fitting the team reward (centralized training, decentralized
+execution); an independent one, whose exchanges are masked off, gets a
+separate critic per community, each fitting that community's own reward.
+Single-worker and fully deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .env import (
     observation_dim,
 )
 from .nets import HIDDEN_UNITS, Adam, Mlp, Params, clip_grads_
+from .system import sum_last
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -61,6 +62,31 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, message: str, log: Sequence[LogRow] = ()) -> None:
         super().__init__(message)
         self.log = list(log)
+
+
+@dataclass(frozen=True)
+class RewardParams:
+    """The trainer's reward: u - (cost + kappa * total imbalance) / z.
+
+    ``kappa`` converts the kW-equivalent imbalance into currency per step;
+    ``z`` scales the sum into a convenient range and ``u`` keeps the
+    reward positive near good dispatches, which also makes it an upper
+    bound on any attainable reward.
+    """
+
+    z: float = 1e5
+    u: float = 10.0
+    kappa: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.z <= 0.0:
+            raise ValueError(f"z must be positive, got {self.z}")
+        if self.kappa < 0.0:
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+
+
+def _reward(cost, penalty, params: RewardParams):
+    return params.u - (cost + params.kappa * penalty) / params.z
 
 
 @dataclass
@@ -351,6 +377,7 @@ def _collect_batch(
     critics: list[Critic],
     rng: np.random.Generator,
     episodes: range,
+    reward: RewardParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[LogRow]]:
     """Sample and evaluate the days of one update batch.
 
@@ -362,20 +389,25 @@ def _collect_batch(
     one ``evaluate_day`` of the whole batch.
 
     Returns the actions (E, 24, 3, 8), their log-densities (E, 24, 3), the
-    rewards (S, E, 24) of the S reward streams (the team's, or each
-    community's when independent), the values (S, 24) and one ``LogRow``
-    per episode.
+    rewards (S, E, 24) of the S reward streams (the team's, of its summed
+    costs and imbalances, or each community's own when independent), the
+    values (S, 24) and one ``LogRow`` per episode, its mean reward the
+    team's.
     """
     means = _policy_means(env, actors)
     log_std = np.stack([actor.clamped_log_std() for actor in actors])
     actions, log_probs = sample_action(np.broadcast_to(means, (len(episodes), *means.shape)), log_std, rng)
     values = np.stack([critic.net.forward(x)[0][:, 0] for critic, x in zip(critics, _critic_inputs(env))])
-    day = evaluate_day(env.scenario, actions, env.system_cfg, env.reward_params, env.mode)
-    rewards = np.moveaxis(day.agent_reward, -1, 0) if env.mode == "independent" else day.team_reward[None]
+    day = evaluate_day(env.scenario, actions, env.system_cfg, env.mode)
+    team = _reward(sum_last(day.cost), sum_last(day.balance.penalty), reward)
+    if env.mode == "independent":
+        rewards = np.moveaxis(_reward(day.cost, day.balance.penalty, reward), -1, 0)
+    else:
+        rewards = team[None]
     rows = [
         LogRow(
             episode=episode,
-            mean_reward=float(day.team_reward[e].mean()),
+            mean_reward=float(team[e].mean()),
             total_cost=day_total(day.cost[e]),
             total_penalty=day_total(day.balance.penalty[e]),
             curtailment_kwh=day_total(day.balance.curtailed[e]) * day.dt,
@@ -420,7 +452,9 @@ def _update(
             opt.step(grads.vector)
 
 
-def _train(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
+def train(env: DispatchEnv, cfg: TrainConfig, reward: RewardParams) -> TrainResult:
+    """Train three actors on ``reward`` with the critics that ``env.mode``
+    lays out (``_critic_inputs``)."""
     rng = np.random.default_rng(cfg.seed)
     obs_dim = observation_dim(env.observation)
     actors = [GaussianActor(obs_dim, ACTION_DIM, rng, dtype=NET_DTYPE) for _ in range(N_AGENTS)]
@@ -437,7 +471,7 @@ def _train(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     per_update = math.ceil(cfg.batch / EPISODE_STEPS)
     for first in range(0, cfg.episodes, per_update):
         episodes = range(first, min(first + per_update, cfg.episodes))
-        *batch, rows = _collect_batch(env, actors, critics, rng, episodes)
+        *batch, rows = _collect_batch(env, actors, critics, rng, episodes, reward)
         for row in rows:
             try:
                 monitor.observe(row.mean_reward, row.episode)
@@ -456,28 +490,10 @@ def _train(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
     )
 
 
-def train_mappo(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
-    """Coordinated trainer: per-agent actors, one critic over the global state."""
-    if env.mode != "coordinated":
-        raise ValueError("train_mappo requires an environment in coordinated mode")
-    return _train(env, cfg)
-
-
-def train_independent(env: DispatchEnv, cfg: TrainConfig) -> TrainResult:
-    """Mode-one trainer: separate actor-critic pairs, no energy interaction.
-
-    The environment must mask the exchange entries, so it has to run in
-    independent mode; each community optimizes its own cost and imbalance.
-    """
-    if env.mode != "independent":
-        raise ValueError("train_independent requires an environment in independent mode")
-    return _train(env, cfg)
-
-
 def greedy_day(env: DispatchEnv, actors: Sequence[GaussianActor]) -> DayEvaluation:
     """One deterministic day driven by the policy means, no sampling,
     evaluated in one ``evaluate_day``."""
-    return evaluate_day(env.scenario, _policy_means(env, actors), env.system_cfg, env.reward_params, env.mode)
+    return evaluate_day(env.scenario, _policy_means(env, actors), env.system_cfg, env.mode)
 
 
 # ---------------------------------------------------------------------------

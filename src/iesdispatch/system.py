@@ -198,14 +198,13 @@ def fleet_of(communities: Sequence[CommunityConfig]) -> Fleet:
     return Fleet(*arrays)
 
 
-def setpoint_box(fleet: Fleet, limits: ExchangeLimits | None, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 8) lower and upper setpoint limits at step length ``dt``; the
-    exchanges within ``limits``, or unbounded without them.  Read-only."""
+def setpoint_box(fleet: Fleet, limits: ExchangeLimits, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 8) lower and upper setpoint limits at step length ``dt``, the
+    exchanges within ``limits``.  Read-only."""
     lo, hi = fleet.lo.copy(), fleet.hi.copy()
     hi[:, W_RATE] = hi[:, W_RATE] / dt
-    if limits is not None:
-        lo[:, P_EXCH], hi[:, P_EXCH] = -limits.p_max, limits.p_max
-        lo[:, H_EXCH], hi[:, H_EXCH] = -limits.h_max, limits.h_max
+    lo[:, P_EXCH], hi[:, P_EXCH] = -limits.p_max, limits.p_max
+    lo[:, H_EXCH], hi[:, H_EXCH] = -limits.h_max, limits.h_max
     lo.setflags(write=False)
     hi.setflags(write=False)
     return lo, hi

@@ -13,7 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from iesdispatch.devices import FuelPrice, gas_cost
-from iesdispatch.env import ACTION_DIM, EPISODE_STEPS, MODES, N_AGENTS, RewardParams
+from iesdispatch.env import ACTION_DIM, EPISODE_STEPS, MODES, N_AGENTS
+from iesdispatch.learner import RewardParams
 from iesdispatch.scenario import ScenarioData
 from iesdispatch.system import (
     N_COMMUNITIES,

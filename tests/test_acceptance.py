@@ -26,7 +26,6 @@ from iesdispatch.env import (
     ACTION_DIM,
     N_AGENTS,
     DispatchEnv,
-    RewardParams,
     day_total,
     decode_joint,
     settle_day,
@@ -34,6 +33,7 @@ from iesdispatch.env import (
 from iesdispatch.learner import (
     Critic,
     GaussianActor,
+    RewardParams,
     TrainConfig,
     actor_loss_and_grads,
     critic_loss_and_grads,
@@ -41,8 +41,7 @@ from iesdispatch.learner import (
     greedy_day,
     log_prob_loss_and_grads,
     prob_ratio,
-    train_independent,
-    train_mappo,
+    train,
 )
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
 from iesdispatch.system import (
@@ -92,7 +91,7 @@ def day_totals(day):
 def oracle_of(scenario):
     """The oracle's day of a scenario, settled."""
     setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, SYS)
-    return settle_day(scenario, setpoints, SYS, REWARD)
+    return settle_day(scenario, setpoints, SYS)
 
 
 @pytest.fixture(scope="session")
@@ -107,8 +106,8 @@ def oracle(scenario):
 
 @pytest.fixture(scope="session")
 def coordinated_run(scenario):
-    env = DispatchEnv(scenario, SYS, REWARD)
-    result = train_mappo(env, desk_config(episodes=5000, seed=1))
+    env = DispatchEnv(scenario, SYS)
+    result = train(env, desk_config(episodes=5000, seed=1), REWARD)
     return result, greedy_day(env, result.actors)
 
 
@@ -116,13 +115,13 @@ def coordinated_run(scenario):
 def comparison_runs(scenario, coordinated_run):
     coordinated = [day_totals(coordinated_run[1])]
     for seed in SEEDS[1:]:
-        env = DispatchEnv(scenario, SYS, REWARD)
-        result = train_mappo(env, desk_config(episodes=5000, seed=seed))
+        env = DispatchEnv(scenario, SYS)
+        result = train(env, desk_config(episodes=5000, seed=seed), REWARD)
         coordinated.append(day_totals(greedy_day(env, result.actors)))
     independent = []
     for seed in SEEDS:
-        env = DispatchEnv(scenario, SYS, REWARD, mode="independent")
-        result = train_independent(env, desk_config(episodes=3500, seed=seed))
+        env = DispatchEnv(scenario, SYS, mode="independent")
+        result = train(env, desk_config(episodes=3500, seed=seed), REWARD)
         independent.append(day_totals(greedy_day(env, result.actors)))
     return coordinated, independent
 
@@ -354,11 +353,11 @@ class TestCriterion8DecouplingSanity:
     def test_modes_agree_without_coupling(self):
         uniform = generate_scenario(ScenarioSpec(profile="uniform"))
         exchanges_zero = bool((np.abs(oracle_of(uniform).setpoints[..., P_EXCH:]) < 1e-9).all())
-        env_co = DispatchEnv(uniform, SYS, REWARD)
-        res_co = train_mappo(env_co, desk_config(episodes=1500, seed=1))
+        env_co = DispatchEnv(uniform, SYS)
+        res_co = train(env_co, desk_config(episodes=1500, seed=1), REWARD)
         cost_co = day_total(greedy_day(env_co, res_co.actors).cost)
-        env_in = DispatchEnv(uniform, SYS, REWARD, mode="independent")
-        res_in = train_independent(env_in, desk_config(episodes=1500, seed=1))
+        env_in = DispatchEnv(uniform, SYS, mode="independent")
+        res_in = train(env_in, desk_config(episodes=1500, seed=1), REWARD)
         cost_in = day_total(greedy_day(env_in, res_in.actors).cost)
         gap = abs(cost_co - cost_in) / max(cost_co, cost_in)
         ok = exchanges_zero and gap <= 0.03

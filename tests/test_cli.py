@@ -16,7 +16,7 @@ import pytest
 from iesdispatch import cli, env, learner, nets, system
 from iesdispatch.cli import main, write_schedule_csv
 from iesdispatch.config import load_config
-from iesdispatch.env import DispatchEnv, RewardParams, evaluate_day, settle_day
+from iesdispatch.env import DispatchEnv, evaluate_day, settle_day
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
 
 SMOKE_CONFIG = """
@@ -337,7 +337,7 @@ class TestPythonVersion:
 
 def zero_action_day():
     scenario = generate_scenario(ScenarioSpec())
-    return evaluate_day(scenario, np.zeros((24, 3, 8)), system.default_system_config(), RewardParams())
+    return evaluate_day(scenario, np.zeros((24, 3, 8)), system.default_system_config())
 
 
 def chp_out_of_box(x):
@@ -491,7 +491,7 @@ class TestExportContract:
         setpoints = system.oracle_day(
             scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, run_cfg.system
         )
-        self.check(rows, summary, settle_day(scenario, setpoints, run_cfg.system, run_cfg.reward))
+        self.check(rows, summary, settle_day(scenario, setpoints, run_cfg.system))
         step_penalties = [
             left_to_right(float(r["penalty_kw_eq"]) for r in rows if r["step"] == str(t)) for t in range(24)
         ]
@@ -505,10 +505,7 @@ class TestExportContract:
             "--out", str(tmp_path / "eval"),
         ]) == 0
         ckpt = learner.load_checkpoint(run / "checkpoint.json")
-        env = DispatchEnv(
-            scenario, run_cfg.system, run_cfg.reward,
-            mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales,
-        )
+        env = DispatchEnv(scenario, run_cfg.system, mode=ckpt.mode, observation=ckpt.observation, scales=ckpt.scales)
         self.check(
             read_csv(tmp_path / "eval" / "schedule.csv"),
             read_json(tmp_path / "eval" / "summary.json"),
@@ -538,9 +535,10 @@ class TestUsageErrors:
         ["train", "--episodes", "x", "--out", "t"],
         ["train", "--mode", "bogus", "--out", "t"],
         ["oracle", "--grid-n", "21", "--out", "o"],
+        ["oracle", "--seed", "1", "--out", "o"],
         [],
         ["no-such-verb"],
-    ], ids=["bad-int", "bad-choice", "removed-option", "no-verb", "unknown-verb"])
+    ], ids=["bad-int", "bad-choice", "removed-option", "removed-seed-option", "no-verb", "unknown-verb"])
     def test_exit_1_with_a_json_error(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
@@ -569,7 +567,7 @@ class TestBadOutPath:
             pytest.fail("work started")
 
         monkeypatch.setattr(cli, "oracle_day", fail)
-        monkeypatch.setattr(cli.L, "train_mappo", fail)
+        monkeypatch.setattr(cli.L, "train", fail)
         argv = {
             "oracle": ["oracle", "--config", str(cfg), "--scenario", str(scenario), "--out", str(blocker / "sub")],
             "train": ["train", "--config", str(cfg), "--scenario", str(scenario), "--out", str(blocker / "sub")],
@@ -693,7 +691,7 @@ class TestDivergedTraining:
             day = real_evaluate_day(*args)
             days.append(day)
             if len(days) == 2:  # episode 5, the second of the second update batch
-                day.team_reward[1, 3] = float("nan")
+                day.cost[1, 3, 0] = float("nan")
             return day
 
         monkeypatch.setattr(learner, "evaluate_day", evaluate_day)

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from iesdispatch.config import ConfigError, config_hash, default_config_tree, load_config
-from iesdispatch.env import RewardParams
+from iesdispatch.learner import RewardParams
 from iesdispatch.learner import TrainConfig
 from iesdispatch.scenario import ScenarioSpec
 from iesdispatch.system import default_system_config

@@ -28,11 +28,10 @@ from iesdispatch.env import (
     N_AGENTS,
     OBSERVATION_MODES,
     DispatchEnv,
-    RewardParams,
     evaluate_day,
     settle_day,
 )
-from iesdispatch.learner import LogRow, TrainConfig, sample_action
+from iesdispatch.learner import LogRow, RewardParams, TrainConfig, sample_action
 from iesdispatch.scenario import PROFILES, ScenarioSpec, generate_scenario
 from iesdispatch.system import (
     BalanceOptions,
@@ -53,6 +52,7 @@ from iesdispatch.system import (
 from iesdispatch.thermal import PipelineParams
 
 OPTION_SETS = [BalanceOptions(*flags) for flags in itertools.product((False, True), repeat=3)]
+REWARD = RewardParams(kappa=1.5)
 
 
 def system(kwh_per_m3: float, options: BalanceOptions, mixed: bool, dt: float = 1.0) -> SystemConfig:
@@ -98,15 +98,13 @@ def reference_observation(state, agent, observation):
     return state if observation == "full" else state[4 * agent : 4 * agent + 4]
 
 
-def assert_day_equals(day, records, params):
+def assert_day_equals(day, records):
     """Every array of an evaluated day equals, with ``==``, the reference's
     records of its steps."""
     expected = {
         "setpoints": [[d.row() for d in r.decisions] for r in records],
         "wind": [r.wind_avail for r in records],
         "cost": [r.costs for r in records],
-        "team_reward": [r.reward for r in records],
-        "agent_reward": [reference_agent_rewards(r, params) for r in records],
     }
     for name, value in expected.items():
         np.testing.assert_array_equal(getattr(day, name), value, err_msg=name)
@@ -135,12 +133,11 @@ class TestEvaluateDay:
     ):
         scenario = generate_scenario(ScenarioSpec(profile=profile, noise_std=noise_std, seed=scenario_seed))
         sys_cfg = system(kwh_per_m3, options, mixed, dt)
-        params = RewardParams(kappa=1.5)
         actions = random_actions(np.random.default_rng(action_seed))
 
-        day = evaluate_day(scenario, actions, sys_cfg, params, mode)
-        expected = [ref.evaluate_step(scenario, t, actions[t], sys_cfg, params, mode, sys_cfg.price.dt) for t in range(EPISODE_STEPS)]
-        assert_day_equals(day, expected, params)
+        day = evaluate_day(scenario, actions, sys_cfg, mode)
+        expected = [ref.evaluate_step(scenario, t, actions[t], sys_cfg, REWARD, mode, sys_cfg.price.dt) for t in range(EPISODE_STEPS)]
+        assert_day_equals(day, expected)
         assert day.dt == dt
 
     @settings(max_examples=80, deadline=None)
@@ -159,14 +156,13 @@ class TestEvaluateDay:
     ):
         scenario = generate_scenario(ScenarioSpec(profile=profile, noise_std=0.05, seed=scenario_seed))
         sys_cfg = system(7.3, options, mixed, dt)
-        params = RewardParams(kappa=1.5)
         rng = np.random.default_rng(action_seed)
         actions = np.stack([random_actions(rng) for _ in range(n_days)])
 
-        batch = evaluate_day(scenario, actions, sys_cfg, params, mode)
+        batch = evaluate_day(scenario, actions, sys_cfg, mode)
         for e, day_actions in enumerate(actions):
-            day = evaluate_day(scenario, day_actions, sys_cfg, params, mode)
-            for name in ("setpoints", "cost", "team_reward", "agent_reward"):
+            day = evaluate_day(scenario, day_actions, sys_cfg, mode)
+            for name in ("setpoints", "cost"):
                 np.testing.assert_array_equal(getattr(batch, name)[e], getattr(day, name), err_msg=name, strict=True)
             for name in Settlement._fields:
                 np.testing.assert_array_equal(
@@ -178,11 +174,11 @@ class TestEvaluateDay:
     @pytest.mark.parametrize("shape", [(24, 3), (24, 2, 8), (23, 3, 8), (25, 3, 8), (2, 23, 3, 8)])
     def test_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
-            evaluate_day(generate_scenario(ScenarioSpec()), np.zeros(shape), system(8.0, BalanceOptions(), False), RewardParams())
+            evaluate_day(generate_scenario(ScenarioSpec()), np.zeros(shape), system(8.0, BalanceOptions(), False))
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            evaluate_day(generate_scenario(ScenarioSpec()), np.zeros((24, 3, 8)), system(8.0, BalanceOptions(), False), RewardParams(), "solo")
+            evaluate_day(generate_scenario(ScenarioSpec()), np.zeros((24, 3, 8)), system(8.0, BalanceOptions(), False), "solo")
 
 
 class TestKernelsOnOneCommunity:
@@ -198,20 +194,18 @@ class TestKernelsOnOneCommunity:
         options=st.sampled_from(OPTION_SETS),
         kwh_per_m3=st.sampled_from([8.0, 7.3]),
         mixed=st.booleans(),
-        with_limits=st.booleans(),
         dt=st.sampled_from([1.0, 0.5]),
     )
     def test_kernels_equal_the_reference(
-        self, values, action, exchanges, loads, community, options, kwh_per_m3, mixed, with_limits, dt
+        self, values, action, exchanges, loads, community, options, kwh_per_m3, mixed, dt
     ):
         sys_cfg = system(kwh_per_m3, options, mixed, dt)
         cfg, limits, price = sys_cfg.communities[community], sys_cfg.limits, sys_cfg.price
         fleet = fleet_of((cfg,))
 
-        lo, hi = setpoint_box(fleet, limits if with_limits else None, dt)
-        clipped = clip_box(np.array([values]), lo, hi, fleet.q)
-        assert clipped[0].tolist() == ref.clip_to_limits(ref.DispatchDecision(*values), cfg, limits if with_limits else None, dt).row()
         lo, hi = setpoint_box(fleet, limits, dt)
+        clipped = clip_box(np.array([values]), lo, hi, fleet.q)
+        assert clipped[0].tolist() == ref.clip_to_limits(ref.DispatchDecision(*values), cfg, limits, dt).row()
         mapped = affine_setpoints(np.array([action]), lo, hi)
         assert mapped[0].tolist() == ref.action_to_setpoints(action, cfg, limits, dt).row()
         decoded = clip_box(mapped, lo, hi, fleet.q)
@@ -248,7 +242,7 @@ def reference_observations(env):
     return states, np.stack([[reference_observation(s, k, env.observation) for s in states] for k in range(N_AGENTS)])
 
 
-def step_by_step_collect(env, actors, critics, rng, episodes):
+def step_by_step_collect(env, actors, critics, rng, episodes, reward):
     """Reference collector: the means and values of one ``forward`` per
     network over the day's 24 reference observations, then one transition
     at a time, with one noise draw per agent and step and the scalar
@@ -270,8 +264,8 @@ def step_by_step_collect(env, actors, critics, rng, episodes):
         for t in range(EPISODE_STEPS):
             for k in range(N_AGENTS):
                 actions[e, t, k], log_probs[e, t, k] = sample_action(means[k][t], actors[k].clamped_log_std(), rng)
-            record = ref.evaluate_step(env.scenario, t, actions[e, t], env.system_cfg, env.reward_params, env.mode, env.system_cfg.price.dt)
-            rewards[:, e, t] = reference_agent_rewards(record, env.reward_params) if independent else record.reward
+            record = ref.evaluate_step(env.scenario, t, actions[e, t], env.system_cfg, reward, env.mode, env.system_cfg.price.dt)
+            rewards[:, e, t] = reference_agent_rewards(record, reward) if independent else record.reward
             records.append(record)
         rows.append(LogRow(
             episode=episode,
@@ -333,7 +327,7 @@ def episode_by_episode_update(actors, critics, actor_opts, critic_opts, actions,
 
 class TestOnePassTraining:
     def check_against_the_reference(self, monkeypatch, env, cfg, batch_sizes):
-        one_pass = learner._train(env, cfg)
+        one_pass = learner.train(env, cfg, REWARD)
         seen = []
 
         def update(*args):
@@ -342,7 +336,7 @@ class TestOnePassTraining:
 
         monkeypatch.setattr(learner, "_collect_batch", step_by_step_collect)
         monkeypatch.setattr(learner, "_update", update)
-        stepped = learner._train(env, cfg)
+        stepped = learner.train(env, cfg, REWARD)
 
         assert seen == batch_sizes
         assert one_pass.log == stepped.log
@@ -356,7 +350,7 @@ class TestOnePassTraining:
     @pytest.mark.parametrize("mode", MODES)
     def test_training_equals_the_step_by_step_collector(self, monkeypatch, mode, observation, options):
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=4))
-        env = DispatchEnv(scenario, system(8.0, options, False), RewardParams(kappa=1.5), mode, observation)
+        env = DispatchEnv(scenario, system(8.0, options, False), mode, observation)
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, batch=48, episodes=8, discount=0.0, seed=5)
         self.check_against_the_reference(monkeypatch, env, cfg, [2, 2, 2, 2])
 
@@ -366,7 +360,7 @@ class TestOnePassTraining:
         system's step length."""
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=4))
         sys_cfg = system(8.0, BalanceOptions(True, True, True), False, dt=0.5)
-        env = DispatchEnv(scenario, sys_cfg, RewardParams(kappa=1.5), mode)
+        env = DispatchEnv(scenario, sys_cfg, mode)
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, batch=48, episodes=8, discount=0.0, seed=5)
         self.check_against_the_reference(monkeypatch, env, cfg, [2, 2, 2, 2])
 
@@ -376,7 +370,7 @@ class TestOnePassTraining:
         """Five episodes per update, then a trailing batch of three, with
         the advantage recursion running over every step."""
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=4))
-        env = DispatchEnv(scenario, system(8.0, BalanceOptions(), False), RewardParams(kappa=1.5), mode, observation)
+        env = DispatchEnv(scenario, system(8.0, BalanceOptions(), False), mode, observation)
         cfg = TrainConfig(
             actor_lr=3e-4, critic_lr=1e-3, batch=100, episodes=13, discount=0.99, gae_lambda=0.9, seed=5
         )
@@ -384,11 +378,11 @@ class TestOnePassTraining:
 
     def test_greedy_day_equals_the_means_stepped(self):
         env = DispatchEnv(generate_scenario(ScenarioSpec(noise_std=0.05, seed=6)), system(7.3, BalanceOptions(), True))
-        result = learner.train_mappo(env, TrainConfig(batch=48, episodes=4, seed=2))
+        result = learner.train(env, TrainConfig(batch=48, episodes=4, seed=2), REWARD)
         _, observations = reference_observations(env)
         means = np.stack([actor.net.forward(obs)[0] for actor, obs in zip(result.actors, observations)], axis=1)
-        records = [ref.evaluate_step(env.scenario, t, means[t], env.system_cfg, env.reward_params) for t in range(EPISODE_STEPS)]
-        assert_day_equals(learner.greedy_day(env, result.actors), records, env.reward_params)
+        records = [ref.evaluate_step(env.scenario, t, means[t], env.system_cfg, REWARD) for t in range(EPISODE_STEPS)]
+        assert_day_equals(learner.greedy_day(env, result.actors), records)
 
 
 class TestOracleRows:
@@ -399,7 +393,7 @@ class TestOracleRows:
         sys_cfg, dt = run_cfg.system, run_cfg.system.price.dt
         scenario = generate_scenario(ScenarioSpec(noise_std=0.05, seed=22))
         setpoints = oracle_day(scenario.p_load.T, scenario.h_load.T, scenario.w_load.T, scenario.p_wind.T, sys_cfg)
-        day = settle_day(scenario, setpoints, sys_cfg, run_cfg.reward)
+        day = settle_day(scenario, setpoints, sys_cfg)
         cfgs = sys_cfg.communities
         records = []
         for t in range(EPISODE_STEPS):
@@ -420,5 +414,5 @@ class TestOracleRows:
                 reward=ref.step_reward(left_sum(costs), [b.penalty for b in balances], run_cfg.reward),
                 done=t == EPISODE_STEPS - 1,
             ))
-        assert_day_equals(day, records, run_cfg.reward)
+        assert_day_equals(day, records)
         assert sum_last(day.balance.penalty).tolist() == [r.penalty_total for r in records]

@@ -1,4 +1,4 @@
-"""Environment tests: state encoding, action decoding, reward, day evaluation."""
+"""Environment tests: state encoding, action decoding, day evaluation."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from iesdispatch.env import (
     N_AGENTS,
     STATE_DIM,
     DispatchEnv,
-    RewardParams,
     compute_scales,
     day_observations,
     decode_joint,
@@ -153,66 +152,37 @@ class TestDecodeAction:
             decode_joint(actions, SYS, "solo")
 
 
-class TestReward:
-    def test_team_reward_formula(self, scenario):
-        params = RewardParams(z=2e4, u=7.0, kappa=1.5)
-        day = evaluate_day(scenario, random_day(1), SYS, params)
-        penalty = sum_last(day.balance.penalty)
-        assert (day.team_reward == params.u - (sum_last(day.cost) + params.kappa * penalty) / params.z).all()
-        assert (day.agent_reward == params.u - (day.cost + params.kappa * day.balance.penalty) / params.z).all()
-
-    def test_doubling_z_halves_cost_term(self, scenario):
-        actions = random_day(2)
-        lo = evaluate_day(scenario, actions, SYS, RewardParams(z=1e5)).team_reward
-        hi = evaluate_day(scenario, actions, SYS, RewardParams(z=2e5)).team_reward
-        np.testing.assert_allclose(10.0 - hi, (10.0 - lo) / 2.0, rtol=1e-12)
-
-    def test_never_exceeds_offset(self, scenario):
-        params = RewardParams()
-        for seed in range(5):
-            day = evaluate_day(scenario, random_day(seed), SYS, params, "independent")
-            assert (day.team_reward <= params.u).all()
-            assert (day.agent_reward <= params.u).all()
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            RewardParams(z=0.0)
-        with pytest.raises(ValueError):
-            RewardParams(kappa=-1.0)
-
-
 class TestEvaluateDay:
     def test_one_row_per_step(self, scenario):
-        day = evaluate_day(scenario, np.zeros((EPISODE_STEPS, N_AGENTS, ACTION_DIM)), SYS, RewardParams())
+        day = evaluate_day(scenario, np.zeros((EPISODE_STEPS, N_AGENTS, ACTION_DIM)), SYS)
         assert day.setpoints.shape == (EPISODE_STEPS, N_AGENTS, ACTION_DIM)
-        assert day.team_reward.shape == (EPISODE_STEPS,)
-        for array in (day.wind, day.cost, day.agent_reward, *day.balance):
+        for array in (day.wind, day.cost, *day.balance):
             assert array.shape == (EPISODE_STEPS, N_AGENTS)
 
     def test_independent_mode_masks_exchanges(self, scenario):
-        day = evaluate_day(scenario, random_day(3), SYS, RewardParams(), "independent")
+        day = evaluate_day(scenario, random_day(3), SYS, "independent")
         assert (day.setpoints[..., P_EXCH:] == 0.0).all()
 
     def test_exchanges_projected_zero_sum(self, scenario):
-        day = evaluate_day(scenario, random_day(4), SYS, RewardParams())
+        day = evaluate_day(scenario, random_day(4), SYS)
         assert np.abs(sum_last(day.setpoints[..., P_EXCH])).max() < 1e-9
         assert np.abs(sum_last(day.setpoints[..., H_EXCH])).max() < 1e-9
 
     def test_deterministic(self, scenario):
         actions = random_day(5)
-        a = evaluate_day(scenario, actions, SYS, RewardParams())
-        b = evaluate_day(scenario, actions.copy(), SYS, RewardParams())
-        for x, y in zip((a.setpoints, a.team_reward, a.cost, *a.balance), (b.setpoints, b.team_reward, b.cost, *b.balance)):
+        a = evaluate_day(scenario, actions, SYS)
+        b = evaluate_day(scenario, actions.copy(), SYS)
+        for x, y in zip((a.setpoints, a.cost, *a.balance), (b.setpoints, b.cost, *b.balance)):
             np.testing.assert_array_equal(x, y)
 
     def test_symmetric_scenario_produces_equal_blocks(self):
         uniform = generate_scenario(ScenarioSpec(profile="uniform"))
-        day = evaluate_day(uniform, np.zeros((EPISODE_STEPS, N_AGENTS, ACTION_DIM)), SYS, RewardParams())
+        day = evaluate_day(uniform, np.zeros((EPISODE_STEPS, N_AGENTS, ACTION_DIM)), SYS)
         np.testing.assert_allclose(day.cost, day.cost[:, :1].repeat(N_AGENTS, axis=1))
         np.testing.assert_allclose(day.balance.penalty, day.balance.penalty[:, :1].repeat(N_AGENTS, axis=1))
 
     def test_wind_used_bounded_by_available(self, scenario):
-        day = evaluate_day(scenario, random_day(6), SYS, RewardParams())
+        day = evaluate_day(scenario, random_day(6), SYS)
         used = day.wind - day.balance.curtailed
         assert (used >= -1e-9).all() and (used <= day.wind + 1e-9).all()
         np.testing.assert_array_equal(day.wind, scenario.p_wind.T)

@@ -1,4 +1,4 @@
-"""Learner tests: densities, ratios, surrogate, advantages, training loop."""
+"""Learner tests: densities, ratios, surrogate, advantages, reward, training loop."""
 
 import json
 import math
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from iesdispatch import learner
-from iesdispatch.env import DispatchEnv, RewardParams
+from iesdispatch.env import EPISODE_STEPS, MODES, DispatchEnv, evaluate_day
 from iesdispatch.learner import (
     LOG_STD_MAX,
     LOG_STD_MIN,
@@ -16,6 +16,7 @@ from iesdispatch.learner import (
     Critic,
     GaussianActor,
     RewardMonitor,
+    RewardParams,
     TrainConfig,
     TrainingDiverged,
     actor_loss_and_grads,
@@ -29,17 +30,17 @@ from iesdispatch.learner import (
     prob_ratio,
     sample_action,
     save_checkpoint,
-    train_independent,
-    train_mappo,
+    train,
 )
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
-from iesdispatch.system import P_EXCH, default_system_config
+from iesdispatch.system import P_EXCH, default_system_config, sum_last
 
 SYS = default_system_config()
+REWARD = RewardParams(kappa=1.5)
 
 
 def small_env(mode="coordinated"):
-    return DispatchEnv(generate_scenario(ScenarioSpec()), SYS, RewardParams(kappa=1.5), mode=mode)
+    return DispatchEnv(generate_scenario(ScenarioSpec()), SYS, mode=mode)
 
 
 class TestGaussianDensity:
@@ -247,11 +248,60 @@ class TestRewardMonitor:
             monitor.observe(1.0 if ep % 4 else 9.0, ep)
 
 
+def collect(mode, reward, seed=1, episodes=3):
+    """One update batch of fresh networks collected under ``reward``, and
+    the evaluated days of its actions."""
+    env = small_env(mode)
+    rng = np.random.default_rng(seed)
+    actors = [GaussianActor(4, rng=rng) for _ in range(3)]
+    critics = [Critic(x.shape[1], rng=rng) for x in learner._critic_inputs(env)]
+    actions, _, rewards, _, rows = learner._collect_batch(env, actors, critics, rng, range(episodes), reward)
+    return evaluate_day(env.scenario, actions, SYS, mode), rewards, rows
+
+
+class TestReward:
+    """The reward streams the trainer's critics fit."""
+
+    def test_team_reward_formula(self):
+        params = RewardParams(z=2e4, u=7.0, kappa=1.5)
+        day, rewards, rows = collect("coordinated", params)
+        penalty = sum_last(day.balance.penalty)
+        team = params.u - (sum_last(day.cost) + params.kappa * penalty) / params.z
+        assert (rewards == team[None]).all()
+        assert [row.mean_reward for row in rows] == [float(r.mean()) for r in team]
+        day, rewards, _ = collect("independent", params)
+        agent = params.u - (day.cost + params.kappa * day.balance.penalty) / params.z
+        assert (rewards == np.moveaxis(agent, -1, 0)).all()
+
+    def test_doubling_z_halves_cost_term(self):
+        _, lo, _ = collect("coordinated", RewardParams(z=1e5))
+        _, hi, _ = collect("coordinated", RewardParams(z=2e5))
+        np.testing.assert_allclose(10.0 - hi, (10.0 - lo) / 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_never_exceeds_offset(self, mode):
+        params = RewardParams()
+        for seed in range(5):
+            _, rewards, rows = collect(mode, params, seed)
+            assert (rewards <= params.u).all()
+            assert all(row.mean_reward <= params.u for row in rows)
+
+    def test_one_team_stream_or_one_per_community(self):
+        assert collect("coordinated", RewardParams())[1].shape == (1, 3, EPISODE_STEPS)
+        assert collect("independent", RewardParams())[1].shape == (3, 3, EPISODE_STEPS)
+
+    def test_invalid_params(self):
+        with pytest.raises(ValueError):
+            RewardParams(z=0.0)
+        with pytest.raises(ValueError):
+            RewardParams(kappa=-1.0)
+
+
 class TestTrainingLoop:
     def test_zero_learning_rate_keeps_parameters_and_flat_reward(self):
         env = small_env()
         cfg = TrainConfig(actor_lr=0.0, critic_lr=0.0, episodes=8, seed=3)
-        result = train_mappo(env, cfg)
+        result = train(env, cfg, REWARD)
         fresh = np.random.default_rng(3)
         reference = GaussianActor(4, 8, rng=fresh, dtype=learner.NET_DTYPE)
         for name, arr in result.actors[0].params().items():
@@ -264,14 +314,14 @@ class TestTrainingLoop:
     def test_smoke_run_improves(self):
         env = small_env()
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=200, discount=0.0, epochs_per_update=8, seed=0)
-        result = train_mappo(env, cfg)
+        result = train(env, cfg, REWARD)
         rewards = [row.mean_reward for row in result.log]
         assert np.mean(rewards[-50:]) >= np.mean(rewards[:50])
 
     def test_seed_determinism(self):
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=12, seed=11)
-        log_a = train_mappo(small_env(), cfg).log
-        log_b = train_mappo(small_env(), cfg).log
+        log_a = train(small_env(), cfg, REWARD).log
+        log_b = train(small_env(), cfg, REWARD).log
         assert [(r.mean_reward, r.total_cost, r.total_penalty) for r in log_a] == [
             (r.mean_reward, r.total_cost, r.total_penalty) for r in log_b
         ]
@@ -279,7 +329,7 @@ class TestTrainingLoop:
     def test_independent_mode_has_zero_exchanges_and_three_critics(self):
         env = small_env(mode="independent")
         cfg = TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=8, seed=5)
-        result = train_independent(env, cfg)
+        result = train(env, cfg, REWARD)
         assert len(result.critics) == 3
         day = greedy_day(env, result.actors)
         assert (day.setpoints[..., P_EXCH:] == 0.0).all()
@@ -293,7 +343,7 @@ class TestTrainingLoop:
             real_update(*args)
 
         monkeypatch.setattr(learner, "_update", counting_update)
-        train_mappo(small_env(), TrainConfig(episodes=7, batch=96, seed=0))
+        train(small_env(), TrainConfig(episodes=7, batch=96, seed=0), REWARD)
         assert batches == [4, 3]
 
     def test_nan_team_reward_names_its_episode(self, monkeypatch):
@@ -304,12 +354,12 @@ class TestTrainingLoop:
             day = real_evaluate_day(*args)
             days.append(day)
             if len(days) == 2:  # the batch of episodes 4-7
-                day.team_reward[1, 3] = float("nan")
+                day.cost[1, 3, 0] = float("nan")
             return day
 
         monkeypatch.setattr(learner, "evaluate_day", evaluate_day)
         with pytest.raises(TrainingDiverged, match=r"^episode 5: mean reward is nan$"):
-            train_mappo(small_env(), TrainConfig(episodes=12, batch=96, seed=0))
+            train(small_env(), TrainConfig(episodes=12, batch=96, seed=0), REWARD)
 
     @pytest.mark.parametrize("mode", ["coordinated", "independent"])
     def test_networks_and_optimizer_moments_are_float32(self, monkeypatch, mode):
@@ -321,7 +371,7 @@ class TestTrainingLoop:
             return opts[-1]
 
         monkeypatch.setattr(learner, "Adam", adam)
-        result = learner._train(small_env(mode), TrainConfig(episodes=8, seed=0))
+        result = train(small_env(mode), TrainConfig(episodes=8, seed=0), REWARD)
         networks = result.actors + result.critics
         assert len(opts) == len(networks)
         for net, opt in zip(networks, opts):
@@ -329,31 +379,21 @@ class TestTrainingLoop:
             for array in (net.net.vector, opt.m, opt.v):
                 assert array.dtype == np.float32
 
-    def test_independent_requires_independent_env(self):
-        with pytest.raises(ValueError):
-            train_independent(small_env(mode="coordinated"), TrainConfig(episodes=1))
-
-    def test_mappo_requires_coordinated_env(self):
-        with pytest.raises(ValueError, match="coordinated mode"):
-            train_mappo(small_env(mode="independent"), TrainConfig(episodes=1))
-
     def test_mappo_uses_one_critic_over_global_state(self):
         env = small_env()
-        result = train_mappo(env, TrainConfig(episodes=4, seed=0))
+        result = train(env, TrainConfig(episodes=4, seed=0), REWARD)
         assert len(result.critics) == 1
         assert result.critics[0].net.in_dim == 12
 
     def test_full_observability_option(self):
-        env = DispatchEnv(
-            generate_scenario(ScenarioSpec()), SYS, RewardParams(kappa=1.5), observation="full"
-        )
-        result = train_mappo(env, TrainConfig(episodes=4, seed=0))
+        env = DispatchEnv(generate_scenario(ScenarioSpec()), SYS, observation="full")
+        result = train(env, TrainConfig(episodes=4, seed=0), REWARD)
         assert result.actors[0].net.in_dim == 12
         assert greedy_day(env, result.actors).setpoints.shape == (24, 3, 8)
 
     def test_greedy_day_deterministic(self):
         env = small_env()
-        result = train_mappo(env, TrainConfig(episodes=8, seed=2))
+        result = train(env, TrainConfig(episodes=8, seed=2), REWARD)
         a = greedy_day(env, result.actors)
         b = greedy_day(env, result.actors)
         np.testing.assert_array_equal(a.setpoints, b.setpoints)
@@ -377,7 +417,7 @@ class TestFlatParameters:
         env = small_env(mode="independent")
         rng = np.random.default_rng(0)
         assert_params_view_the_vector([GaussianActor(4, 8, rng=rng), Critic(4, rng=rng), GaussianActor(4, 8)])
-        result = train_independent(env, TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=8, seed=5))
+        result = train(env, TrainConfig(actor_lr=3e-4, critic_lr=1e-3, episodes=8, seed=5), REWARD)
         assert_params_view_the_vector(result.actors + result.critics)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, result, "h1", "h2")
@@ -390,7 +430,7 @@ class TestFlatParameters:
 class TestCheckpointRoundTrip:
     def test_save_load_preserves_policy(self, tmp_path):
         env = small_env()
-        result = train_mappo(env, TrainConfig(episodes=4, seed=7))
+        result = train(env, TrainConfig(episodes=4, seed=7), REWARD)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, result, config_hash="abc", scenario_hash="def")
         ckpt = load_checkpoint(path)
@@ -403,7 +443,7 @@ class TestCheckpointRoundTrip:
 
     def test_bytes_deterministic(self, tmp_path):
         env = small_env()
-        result = train_mappo(env, TrainConfig(episodes=4, seed=7))
+        result = train(env, TrainConfig(episodes=4, seed=7), REWARD)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         save_checkpoint(p1, result, "h1", "h2")
         save_checkpoint(p2, result, "h1", "h2")
@@ -418,7 +458,7 @@ class TestCheckpointRoundTrip:
     def test_a_version_1_checkpoint_is_refused(self, tmp_path):
         """Version 1 held float64 networks; loading would round them."""
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        save_checkpoint(path, train(small_env(), TrainConfig(episodes=4, seed=7), REWARD), "h1", "h2")
         payload = json.loads(path.read_text())
         payload["format_version"] = 1
         path.write_text(json.dumps(payload))
@@ -428,7 +468,7 @@ class TestCheckpointRoundTrip:
     def test_a_version_2_checkpoint_is_refused(self, tmp_path):
         """Version 2 also held the critics and the reward parameters."""
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        save_checkpoint(path, train(small_env(), TrainConfig(episodes=4, seed=7), REWARD), "h1", "h2")
         payload = json.loads(path.read_text())
         payload["format_version"] = 2
         path.write_text(json.dumps(payload))
@@ -439,14 +479,13 @@ class TestCheckpointRoundTrip:
     def test_a_checkpoint_holds_only_what_evaluation_reads(self, tmp_path, mode):
         """The critics serve only training; the reward is in the config the hash matches."""
         path = tmp_path / "ckpt.json"
-        train = train_independent if mode == "independent" else train_mappo
-        save_checkpoint(path, train(small_env(mode), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        save_checkpoint(path, train(small_env(mode), TrainConfig(episodes=4, seed=7), REWARD), "h1", "h2")
         assert set(json.loads(path.read_text())) == {
             "format_version", "mode", "observation", "config_hash", "scenario_hash", "scales", "actors",
         }
 
     def test_float32_round_trip(self, tmp_path):
-        result = train_independent(small_env("independent"), TrainConfig(episodes=8, seed=5))
+        result = train(small_env("independent"), TrainConfig(episodes=8, seed=5), REWARD)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, result, "h1", "h2")
         ckpt = load_checkpoint(path)
@@ -457,7 +496,7 @@ class TestCheckpointRoundTrip:
     @pytest.mark.parametrize("value", [0.1, 1e39, 2.0**-150], ids=["rounds", "overflows", "underflows"])
     def test_a_value_that_is_not_float32_is_named(self, tmp_path, value):
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, train_mappo(small_env(), TrainConfig(episodes=4, seed=7)), "h1", "h2")
+        save_checkpoint(path, train(small_env(), TrainConfig(episodes=4, seed=7), REWARD), "h1", "h2")
         payload = json.loads(path.read_text())
         payload["actors"][0]["log_std"][0] = value
         path.write_text(json.dumps(payload))

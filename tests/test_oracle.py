@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iesdispatch.config import load_config
-from iesdispatch.env import RewardParams, settle_day
+from iesdispatch.env import settle_day
 from iesdispatch.scenario import ScenarioSpec, generate_scenario
 from iesdispatch.system import (
     FEASIBLE_TOL,
@@ -58,7 +58,7 @@ def solve_step(loads, wind):
 def solve_day(day, sys_cfg):
     """The oracle's setpoints of a scenario's day, settled and priced."""
     setpoints = oracle_day(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, sys_cfg)
-    return settle_day(day, setpoints, sys_cfg, RewardParams())
+    return settle_day(day, setpoints, sys_cfg)
 
 
 class TestHandDerivedOptima:

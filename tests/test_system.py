@@ -50,9 +50,9 @@ def make_row(**kw) -> np.ndarray:
     return np.array([[base[name] for name in SETPOINTS]])
 
 
-def clip(x, limits=None, cfg=CFG):
+def clip(x, cfg=CFG):
     fleet = fleet_of((cfg,))
-    lo, hi = setpoint_box(fleet, limits, 1.0)
+    lo, hi = setpoint_box(fleet, LIMITS, 1.0)
     return clip_box(x, lo, hi, fleet.q)
 
 
@@ -71,15 +71,15 @@ class TestClipBox:
 
     def test_in_range_unchanged(self):
         row = make_row()
-        np.testing.assert_array_equal(clip(row, LIMITS), row)
+        np.testing.assert_array_equal(clip(row), row)
 
     def test_ratio_upper_bound(self):
         assert clip(make_row(b_chp=1.5))[0, B_CHP] == 1.4
 
     def test_idempotent(self):
         raw = make_row(p_chp=9000.0, b_chp=-3.0, p_tp=-100.0, w_rate=700.0, p_gt=1e5, h_gb=-5.0)
-        once = clip(raw, LIMITS)
-        np.testing.assert_array_equal(clip(once.copy(), LIMITS), once)
+        once = clip(raw)
+        np.testing.assert_array_equal(clip(once.copy()), once)
 
     def test_water_reduced_after_gross_power(self):
         # gross power 400 kW can only pump 50 m3/h at 8 kWh/m3
@@ -104,11 +104,9 @@ class TestClipBox:
         assert clipped[P_TP] - q * clipped[W_RATE] >= 0.0
 
     def test_exchange_clamped_when_limits_given(self):
-        clipped = clip(make_row(p_exch=2500.0, h_exch=-1700.0), LIMITS)[0]
+        clipped = clip(make_row(p_exch=2500.0, h_exch=-1700.0))[0]
         assert clipped[P_EXCH] == 1000.0
         assert clipped[H_EXCH] == -1000.0
-        unbounded = clip(make_row(p_exch=2500.0, h_exch=-1700.0))[0]
-        assert (unbounded[P_EXCH], unbounded[H_EXCH]) == (2500.0, -1700.0)
 
 
 def project(p_raw, h_raw, p_max=1000.0, h_max=1000.0):
