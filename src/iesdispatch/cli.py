@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -198,6 +198,8 @@ def _config_with_cli(args) -> RunConfig:
         overrides["mode"] = args.mode
     if getattr(args, "seed", None) is not None:
         overrides.setdefault("train", {})["seed"] = args.seed
+    if getattr(args, "generator_seed", None) is not None:
+        overrides["scenario"] = {"generator": {"seed": args.generator_seed}}
     if getattr(args, "episodes", None) is not None:
         overrides.setdefault("train", {})["episodes"] = args.episodes
     return load_config(args.config, overrides or None)
@@ -211,11 +213,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_generate_scenario(args) -> int:
-    cfg = _config_with_cli(args)
-    spec = cfg.generator
-    if getattr(args, "seed", None) is not None:
-        spec = replace(spec, seed=args.seed)
-    scenario = generate_scenario(spec)
+    scenario = generate_scenario(_config_with_cli(args).generator)
     save_scenario(scenario, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -319,7 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate-scenario", help="write a synthetic 72-row scenario CSV")
     add_common(p_gen, scenario=False)
-    p_gen.add_argument("--seed", type=int, default=None, help="override the configured scenario seed")
+    p_gen.add_argument(
+        "--seed", type=int, default=None, dest="generator_seed", metavar="SEED",
+        help="override the configured scenario seed",
+    )
     p_gen.add_argument("--out", required=True, help="output CSV path")
     p_gen.set_defaults(func=cmd_generate_scenario)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,6 +75,7 @@ def load_scenario(path: str | Path) -> ScenarioData:
             f"{path}: header must be {','.join(SCENARIO_COLUMNS)}, got {','.join(header)}"
         )
     arrays = {name: np.full((N_COMMUNITIES, N_STEPS), np.nan) for name in SCENARIO_COLUMNS[2:]}
+    seen = set()
     n_rows = 0
     for row_no, row in enumerate(rows[1:], start=2):
         if not row:
@@ -99,15 +101,16 @@ def load_scenario(path: str | Path) -> ScenarioData:
                 raise ScenarioFormatError(
                     f"{path}: row {row_no}, column {col}: not a number: {text!r}"
                 ) from None
-            if value < 0.0 or not np.isfinite(value):
+            if value < 0.0 or not math.isfinite(value):
                 raise ScenarioFormatError(
                     f"{path}: row {row_no}, column {col}: value must be nonnegative, got {text}"
                 )
-            if not np.isnan(arrays[col][community - 1, step]):
+            if (community, step) in seen:  # checked after the row's first value
                 raise ScenarioFormatError(
                     f"{path}: row {row_no}: duplicate entry for community {community}, step {step}"
                 )
             arrays[col][community - 1, step] = value
+        seen.add((community, step))
     expected = N_COMMUNITIES * N_STEPS
     if n_rows != expected:
         raise ScenarioFormatError(f"{path}: expected {expected} data rows, got {n_rows}")

@@ -320,7 +320,8 @@ def assert_within_limits(x: np.ndarray, system_cfg: SystemConfig, tol: float = 1
 # below the supply and below what the water carries.  Two zero-sum rows
 # close the exchanges.  A dense bounded-variable simplex (Bland's rule)
 # solves every step of a day, and every export-sign pattern under
-# ``exchange_loss``, as one batch of tableaus with elementwise updates.
+# ``exchange_loss`` that can win (``_EXPORT_PATTERNS``), as one batch of
+# tableaus with elementwise updates.
 
 (_P, _HX, _TP, _W, _GT, _GB, _PE_IN, _PE_OUT, _HE_IN, _HE_OUT, _WIND,
  _E_SHORT, _E_OVER, _H_SHORT, _H_OVER, _W_SHORT, _W_OVER, _S_CHP, _S_PUMP,
@@ -332,6 +333,11 @@ _EPS = 1e-9
 _SNAP = 1e-9
 # A step whose summed penalty (kW-eq) is at most this balances exactly.
 FEASIBLE_TOL = 1e-6
+# The export-sign patterns solved under ``exchange_loss``, no-export first.
+# All three exporting is left out: the zero-sum heat row then holds every
+# heat exchange at zero, and that dispatch, which settles with no debit,
+# is open to the no-export pattern too, which wins ties by coming first.
+_EXPORT_PATTERNS = tuple(itertools.product((False, True), repeat=N_COMMUNITIES))[:-1]
 
 
 class _Programs(NamedTuple):
@@ -349,7 +355,7 @@ class _Programs(NamedTuple):
 
 def _programs(p_load, h_load, w_load, wind, cfg: SystemConfig) -> _Programs:
     """The programs of (T, 3) loads and wind, step-major, one per export-sign
-    pattern (2**3 under ``exchange_loss``, else 1)."""
+    pattern (``_EXPORT_PATTERNS`` under ``exchange_loss``, else none exports)."""
     fleet, options, price = cfg.fleet, cfg.options, cfg.price
     box_lo, box_hi = cfg.box
     cap = options.cap_heat_by_water
@@ -411,7 +417,7 @@ def _programs(p_load, h_load, w_load, wind, cfg: SystemConfig) -> _Programs:
 
     steps = len(p_load)
     if options.exchange_loss:
-        exports = np.array(list(itertools.product((False, True), repeat=N_COMMUNITIES)))
+        exports = np.array(_EXPORT_PATTERNS)
     else:
         exports = np.zeros((1, N_COMMUNITIES), dtype=bool)
     k = steps * len(exports)
@@ -448,8 +454,10 @@ def _lexicographic_simplex(prog: _Programs) -> np.ndarray:
     tab = a * sign[:, :, None]
     beta = np.abs(res)
     cb = prog.objectives[:, basis].transpose(1, 0, 2)  # (K, 4, m)
-    z = cb[:, :, 0, None] * tab[:, None, 0]
-    for i in range(1, m):  # one row at a time, in order: no (K, 4, m, n) product
+    z = np.zeros((k_all, len(prog.objectives), n))
+    # One row at a time, in order: no (K, 4, m, n) product.  A row whose
+    # basic column costs nothing in every tableau would add only zeros.
+    for i in np.flatnonzero(cb.any(axis=(0, 1))):
         z += cb[:, :, i, None] * tab[:, None, i]
     z = prog.objectives - z
     ks = np.arange(k_all)
@@ -464,7 +472,8 @@ def _lexicographic_simplex(prog: _Programs) -> np.ndarray:
             act = np.flatnonzero(enter.any(axis=1))
             if act.size == 0:
                 break
-            _pivot(act, enter[act].argmax(axis=1), tab, beta, z, basis, basic, upper, lo, hi)
+            # A finished stage's reduced costs are not read again.
+            _pivot(act, enter[act].argmax(axis=1), tab, beta, z[:, stage:], basis, basic, upper, lo, hi)
         else:
             raise RuntimeError("simplex did not converge")
         movable &= basic | (np.abs(z[:, stage]) <= _EPS)
@@ -514,15 +523,24 @@ def _pivot(act, j, tab, beta, z, basis, basic, upper, lo, hi) -> None:
     basis[act, r] = j
     beta[act, r] = entering[piv]
 
-    # A pivot of every tableau updates them in place; a partial batch
-    # gathers its tableaus and scatters them back.
-    block, zb = (tab, z) if act.size == len(tab) else (tab[act], z[act])
-    pivot_row = block[k, r] / col[piv, r][:, None]
-    block -= col[piv][:, :, None] * pivot_row[:, None, :]
-    block[k, r] = pivot_row
+    # Only the rows whose multiplier is nonzero in some pivoting tableau
+    # change: any other entry would become x - 0*y, which is x but for the
+    # sign of a zero, and every test of an entry is against +-_EPS.  Those
+    # rows, of every tableau or of the pivoting ones, are gathered, updated
+    # and scattered back.
+    mult = col[piv]
+    rows = np.flatnonzero(mult.any(axis=0))
+    whole = act.size == len(tab)
+    index = (slice(None), rows) if whole else np.ix_(act, rows)
+    pivot_row = tab[act, r] / mult[k, r][:, None]
+    block = tab[index]
+    block -= mult[:, rows, None] * pivot_row[:, None, :]
+    tab[index] = block
+    tab[act, r] = pivot_row
+    zb = z if whole else z[act]
     zb -= zb[k, :, j][:, :, None] * pivot_row[:, None, :]
-    if block is not tab:
-        tab[act], z[act] = block, zb
+    if not whole:
+        z[act] = zb
 
 
 def _setpoints(x: np.ndarray, prog: _Programs, cfg: SystemConfig) -> np.ndarray:
@@ -543,10 +561,11 @@ def oracle_day(p_load, h_load, w_load, wind, system_cfg: SystemConfig) -> np.nda
 
     Per step: the least total imbalance, then the least fuel cost at it,
     then the least exchanged power, then the least device output.  Under
-    ``exchange_loss`` every export-sign pattern is solved, and the step
-    keeps the pattern whose settled dispatch is best by the same keys (the
-    loss is debited only where heat really leaves).  What the setpoints
-    cost and leave unbalanced is for ``settle`` and ``fuel_cost`` to say.
+    ``exchange_loss`` every export-sign pattern that can win is solved,
+    and the step keeps the pattern whose settled dispatch is best by the
+    same keys (the loss is debited only where heat really leaves).  What
+    the setpoints cost and leave unbalanced is for ``settle`` and
+    ``fuel_cost`` to say.
     """
     p_load, h_load, w_load, wind = (np.asarray(v, dtype=float) for v in (p_load, h_load, w_load, wind))
     steps = len(p_load)

@@ -646,16 +646,20 @@ class TestConfigValidation:
         assert err["message"].startswith("system: community 1: p_exch range [-1e+308, 1e+308] is wider")
         assert not (tmp / "x").exists()
 
-    @pytest.mark.parametrize("case", ["train-seed-option", "generator-seed-key"])
+    @pytest.mark.parametrize("case", ["train-seed-option", "generator-seed-key", "generate-scenario-seed-option"])
     def test_a_negative_seed_creates_no_output(self, workspace, capsys, case):
         tmp, _, scenario = workspace
         bad = tmp / "seed.yaml"
         bad.write_text("scenario:\n  generator: {seed: -3}\n", encoding="utf-8")
+        train = ["--episodes", "4", "--out", str(tmp / "x")]
         argv, key = {
-            "train-seed-option": (["train", "--seed", "-1", "--scenario", str(scenario)], "train: seed"),
-            "generator-seed-key": (["train", "--config", str(bad)], "scenario.generator: seed"),
+            "train-seed-option": (["train", "--seed", "-1", "--scenario", str(scenario), *train], "train: seed"),
+            "generator-seed-key": (["train", "--config", str(bad), *train], "scenario.generator: seed"),
+            "generate-scenario-seed-option": (
+                ["generate-scenario", "--seed", "-1", "--out", str(tmp / "x")], "scenario.generator: seed"
+            ),
         }[case]
-        assert main([*argv, "--episodes", "4", "--out", str(tmp / "x")]) == 1
+        assert main(argv) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
         assert key in err["message"] and "nonnegative" in err["message"]

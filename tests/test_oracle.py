@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iesdispatch import system
 from iesdispatch.config import load_config
+from iesdispatch.devices import ChpParams, GasUnitParams
 from iesdispatch.env import settle_day
-from iesdispatch.scenario import ScenarioSpec, generate_scenario
+from iesdispatch.scenario import PROFILES, ScenarioSpec, generate_scenario
 from iesdispatch.system import (
     FEASIBLE_TOL,
     H_EXCH,
@@ -28,6 +30,9 @@ from iesdispatch.system import (
     P_EXCH,
     P_TP,
     BalanceOptions,
+    CommunityConfig,
+    ExchangeLimits,
+    SystemConfig,
     _lexicographic_simplex,
     _programs,
     default_system_config,
@@ -123,6 +128,82 @@ def test_each_program_solves_as_it_would_alone(options, seed, steps):
     for k in range(len(x)):
         one = prog._replace(b=prog.b[k : k + 1], lo=prog.lo[k : k + 1], hi=prog.hi[k : k + 1])
         assert (_lexicographic_simplex(one)[0] == x[k]).all(), k
+
+
+@pytest.mark.parametrize("options", [OPTION_SETS[0], OPTION_SETS[-1]], ids=str)
+def test_a_pivot_changes_only_rows_with_a_nonzero_multiplier(options, monkeypatch):
+    """Each pivot of a real day's batch leaves bit for bit the rows whose
+    multiplier is zero in every pivoting tableau, and leaves every entry of
+    the tableaus and reduced costs ``==`` to an update of all their rows."""
+    day = generate_scenario(ScenarioSpec(noise_std=0.05, seed=7))
+    prog = _programs(day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T, dataclasses.replace(SYS, options=options))
+    real_pivot = system._pivot
+    batches = set()
+
+    def pivot(act, j, tab, beta, z, basis, *rest):
+        tab0, z0, basis0 = tab.copy(), z.copy(), basis.copy()
+        real_pivot(act, j, tab, beta, z, basis, *rest)
+        moved = basis != basis0
+        pivoted = np.flatnonzero(moved.any(axis=1))
+        k, r = np.arange(len(pivoted)), moved[pivoted].argmax(axis=1)
+        entering = basis[pivoted, r]
+        mult = tab0[pivoted, :, entering]
+        pivot_row = tab0[pivoted, r] / mult[k, r][:, None]
+        want, want_z = tab0.copy(), z0.copy()
+        want[pivoted] -= mult[:, :, None] * pivot_row[:, None, :]
+        want[pivoted, r] = pivot_row
+        want_z[pivoted] -= z0[pivoted, :, entering][:, :, None] * pivot_row[:, None, :]
+        idle = ~mult.any(axis=0)
+        assert tab[:, idle].tobytes() == tab0[:, idle].tobytes()
+        assert (tab == want).all() and (z == want_z).all()
+        if pivoted.size:
+            batches.add(pivoted.size == len(tab))
+
+    monkeypatch.setattr(system, "_pivot", pivot)
+    _lexicographic_simplex(prog)
+    assert batches == {True, False}  # the whole-batch and the partial-batch branch
+
+
+def test_the_export_patterns_leave_out_only_all_three_exporting():
+    every = tuple(itertools.product((False, True), repeat=3))
+    assert system._EXPORT_PATTERNS == tuple(p for p in every if p != (True, True, True))
+
+
+@given(
+    data=st.data(),
+    gross=st.booleans(),
+    cap=st.booleans(),
+    profile=st.sampled_from(PROFILES),
+    amplitude=st.floats(0.0, 1.5),
+    noise=st.floats(0.0, 0.3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_all_three_exporting_never_wins(data, gross, cap, profile, amplitude, noise, seed):
+    """Solving the all-export pattern too changes no byte of the oracle's
+    day, over random fleets and days under ``exchange_loss``."""
+    kw = st.floats(0.0, 2000.0)
+    communities = tuple(
+        CommunityConfig(
+            id=i,
+            chp=ChpParams(p_min=data.draw(st.floats(1.0, 2000.0)), b_min=data.draw(st.floats(0.0, 1.0))),
+            gt=GasUnitParams(out_min=data.draw(kw), out_max=3000.0, eta=0.35),
+            gb=GasUnitParams(out_min=data.draw(kw), out_max=3000.0, eta=0.90),
+        )
+        for i in (1, 2, 3)
+    )
+    sys_cfg = SystemConfig(
+        communities=communities,
+        limits=ExchangeLimits(data.draw(kw), data.draw(kw)),
+        options=BalanceOptions(gross, cap, exchange_loss=True),
+    )
+    day = generate_scenario(ScenarioSpec(profile=profile, amplitude=amplitude, noise_std=noise, seed=seed))
+    loads = (day.p_load.T, day.h_load.T, day.w_load.T, day.p_wind.T)
+    seven = oracle_day(*loads, sys_cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system, "_EXPORT_PATTERNS", tuple(itertools.product((False, True), repeat=3)))
+        eight = oracle_day(*loads, sys_cfg)
+    assert seven.tobytes() == eight.tobytes()
 
 
 @pytest.mark.parametrize("options", OPTION_SETS, ids=str)
